@@ -133,7 +133,7 @@ func main() {
 	workerName := flag.String("worker-name", "", "worker label sent at registration (worker role; default hostname)")
 	workerTTL := flag.Duration("worker-ttl", 10*time.Second, "heartbeat lease before a silent worker is expired (coordinator role)")
 	fleetQueue := flag.Int("fleet-queue", 64, "queued cells per worker before dispatch blocks (coordinator role)")
-	workerParallel := flag.Int("worker-parallel", 0, "concurrent cell evaluations (0 = GOMAXPROCS; worker role)")
+	workerParallel := flag.Int("worker-parallel", 0, "concurrent SimKey-group evaluations (0 = GOMAXPROCS; worker role)")
 	logLevel := flag.String("log-level", "info", "structured log threshold: debug, info, warn, or error")
 	logFormat := flag.String("log-format", "text", `structured log encoding: "text" or "json"`)
 	pprofOn := flag.Bool("pprof", false, "mount runtime profiles under /debug/pprof/ (standalone and coordinator roles)")

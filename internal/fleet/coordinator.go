@@ -34,9 +34,10 @@ type Task struct {
 
 // Config parameterizes a Coordinator.
 type Config struct {
-	// QueueDepth bounds each worker's pending (unleased) queue; a dispatch
-	// that finds its target full blocks until a fetch frees a slot, which
-	// is the backpressure that propagates to submit-time 429s.
+	// QueueDepth bounds each worker's pending (unleased) queue, counted in
+	// cells; a dispatch that finds its target full blocks until a fetch
+	// frees a slot, which is the backpressure that propagates to
+	// submit-time 429s.
 	// Requeued work from a dead worker is exempt — losing a worker must
 	// never deadlock the survivors — so queues can transiently overshoot.
 	// Default 64.
@@ -76,7 +77,9 @@ type member struct {
 	id       string
 	name     string
 	deadline time.Time
-	queue    []*assignment          // dispatched, not yet fetched
+	queue    []*group               // dispatched, not yet fetched, oldest first
+	groups   map[string]*group      // queue's groups by SimKey
+	queued   int                    // cells across queue
 	leased   map[uint64]*assignment // fetched, not yet reported
 	wake     chan struct{}          // closed and replaced when queue gains work
 	done     uint64
@@ -87,15 +90,46 @@ type member struct {
 
 // assignment is one unit of fleet work: a distinct cell key, the tasks
 // waiting on it (>1 after a duplicate-work join), and where it currently
-// lives. Exactly one of owner/unassigned holds it until it is reported or
-// every waiting task is canceled.
+// lives. Exactly one member queue, member lease table, or the orphan list
+// holds it until it is reported or every waiting task is canceled.
 type assignment struct {
-	key   string
-	cell  fusleep.Cell
-	tasks []Task
-	owner *member
-	lease uint64 // nonzero while fetched by owner
-	trace string // job trace id from the first task, "" when tracing is off
+	key    string
+	simKey string // routing key: the cell's simulation identity
+	cell   fusleep.Cell
+	tasks  []Task
+	lease  uint64 // nonzero while fetched
+	trace  string // job trace id from the first task, "" when tracing is off
+}
+
+// group is the queued assignments on one member that share a SimKey, in
+// dispatch order: the unit Fetch leases. The first cell the worker
+// evaluates pays for the simulation; the rest score closed-form off the
+// worker's cache.
+type group struct {
+	simKey string
+	cells  []*assignment
+}
+
+// push queues a on m, joining m's queued group for a's SimKey or opening
+// one at the tail. Callers hold c.mu.
+func (m *member) push(a *assignment) {
+	g := m.groups[a.simKey]
+	if g == nil {
+		g = &group{simKey: a.simKey}
+		m.groups[a.simKey] = g
+		m.queue = append(m.queue, g)
+	}
+	g.cells = append(g.cells, a)
+	m.queued++
+}
+
+// pop dequeues m's oldest group. Callers hold c.mu.
+func (m *member) pop() *group {
+	g := m.queue[0]
+	m.queue = m.queue[1:]
+	delete(m.groups, g.simKey)
+	m.queued -= len(g.cells)
+	return g
 }
 
 // canceled reports whether every waiting task has been canceled, making
@@ -112,7 +146,7 @@ func (a *assignment) canceled() bool {
 // Stats is a point-in-time snapshot of the fleet's state and counters.
 type Stats struct {
 	Workers    int
-	Queued     int
+	Queued     int // cells, not groups
 	Leased     int
 	Unassigned int
 	Dispatched uint64 // assignments created (joins excluded)
@@ -120,15 +154,15 @@ type Stats struct {
 	Completed  uint64 // assignments reported successfully
 	Failed     uint64 // assignments reported as errors
 	Requeues   uint64 // assignments requeued off a dead worker
-	Rebalanced uint64 // queued assignments moved to a joining worker
+	Rebalanced uint64 // queued assignments moved (in whole groups) to a joining worker
 	Expired    uint64 // workers expired after missed heartbeats
 	Stale      uint64 // reports discarded because their lease was requeued
 }
 
 // Coordinator owns the fleet side of a coordinator-role server: worker
-// membership, rendezvous routing, per-worker bounded queues, leases, and
-// requeue on worker death. It never dials workers; they pull via
-// Fetch/Report.
+// membership, rendezvous routing on SimKey, per-worker bounded queues of
+// SimKey groups, leases, and requeue on worker death. It never dials
+// workers; they pull via Fetch/Report.
 type Coordinator struct {
 	cfg Config
 
@@ -138,7 +172,7 @@ type Coordinator struct {
 	live     []string // sorted ids of live workers
 	seq      uint64   // worker id allocator
 	leaseSeq uint64
-	byKey    map[string]*assignment // every live assignment, for duplicate join
+	byKey    map[string]*assignment // every live assignment by Cell.Key, for duplicate join
 	orphans  []*assignment          // work with no live worker to hold it
 	space    chan struct{}          // closed and replaced when capacity may have freed
 
@@ -216,19 +250,19 @@ func (c *Coordinator) spaceLocked() {
 	c.space = make(chan struct{})
 }
 
-// pickLocked routes a key to its live worker by rendezvous hashing, or
+// pickLocked routes a SimKey to its live worker by rendezvous hashing, or
 // nil when no workers are live. Callers hold c.mu.
-func (c *Coordinator) pickLocked(key string) *member {
-	id := RendezvousPick(key, c.live)
+func (c *Coordinator) pickLocked(simKey string) *member {
+	id := RendezvousPick(simKey, c.live)
 	if id == "" {
 		return nil
 	}
 	return c.workers[id]
 }
 
-// Register adds a worker and rebalances: queued (unleased) work whose
-// rendezvous pick is now the new worker moves over, and orphaned work is
-// re-routed. Returns the assigned worker ID and the heartbeat TTL.
+// Register adds a worker and rebalances: queued (unleased) groups whose
+// rendezvous pick is now the new worker move over whole, and orphaned
+// work is re-routed. Returns the assigned worker ID and the heartbeat TTL.
 func (c *Coordinator) Register(name string) (string, time.Duration) {
 	c.mu.Lock()
 	c.seq++
@@ -236,6 +270,7 @@ func (c *Coordinator) Register(name string) (string, time.Duration) {
 	m := &member{
 		id: id, name: name,
 		deadline: c.now().Add(c.cfg.WorkerTTL),
+		groups:   make(map[string]*group),
 		leased:   make(map[uint64]*assignment),
 		wake:     make(chan struct{}),
 	}
@@ -244,37 +279,41 @@ func (c *Coordinator) Register(name string) (string, time.Duration) {
 	c.live = append(c.live, "")
 	copy(c.live[at+1:], c.live[at:])
 	c.live[at] = id
-	// Rebalance: only unleased queue entries move — yanking a fetched cell
-	// back from a live worker would duplicate work, and the stability
-	// property says only ~1/N keys pick the newcomer anyway.
-	for _, other := range c.workers {
+	// Rebalance: only unleased groups move, and they move whole — yanking
+	// a fetched cell back from a live worker would duplicate work, and the
+	// stability property says only ~1/N SimKeys pick the newcomer anyway.
+	// Members are visited in id order so the newcomer's queue order is
+	// reproducible.
+	for _, oid := range c.live {
+		other := c.workers[oid]
 		if other == m {
 			continue
 		}
 		kept := other.queue[:0]
-		for _, a := range other.queue {
-			if c.pickLocked(a.key) == m {
-				a.owner = m
-				m.queue = append(m.queue, a)
-				c.stats.Rebalanced++
-			} else {
-				kept = append(kept, a)
+		for _, g := range other.queue {
+			if c.pickLocked(g.simKey) != m {
+				kept = append(kept, g)
+				continue
 			}
+			delete(other.groups, g.simKey)
+			other.queued -= len(g.cells)
+			for _, a := range g.cells {
+				m.push(a)
+			}
+			c.stats.Rebalanced += uint64(len(g.cells))
 		}
 		other.queue = kept
 	}
 	for _, a := range c.orphans {
-		t := c.pickLocked(a.key)
-		a.owner = t
-		t.queue = append(t.queue, a)
+		c.pickLocked(a.simKey).push(a)
 	}
 	c.orphans = nil
-	if len(m.queue) > 0 {
+	if m.queued > 0 {
 		c.wakeLocked(m)
 	}
 	c.spaceLocked()
 	ttl := c.cfg.WorkerTTL
-	rebalanced := len(m.queue)
+	rebalanced := m.queued
 	c.mu.Unlock()
 	c.logger().Info("fleet worker registered",
 		"worker", id, "name", name, "ttl", ttl, "rebalanced", rebalanced)
@@ -318,29 +357,33 @@ func (c *Coordinator) removeLocked(m *member, reason string) {
 	if at := sort.SearchStrings(c.live, m.id); at < len(c.live) && c.live[at] == m.id {
 		c.live = append(c.live[:at], c.live[at+1:]...)
 	}
-	orphans := m.queue
+	var orphans []*assignment
+	for _, g := range m.queue {
+		orphans = append(orphans, g.cells...)
+	}
 	leases := make([]uint64, 0, len(m.leased))
 	for l := range m.leased {
 		leases = append(leases, l)
 	}
-	// Requeue leased work in lease order so recovery is deterministic.
+	// Requeue leased work in lease order so recovery is deterministic;
+	// a leased group's cells hold consecutive leases, so the group
+	// re-forms on its new owner.
 	sort.Slice(leases, func(i, j int) bool { return leases[i] < leases[j] })
 	for _, l := range leases {
 		orphans = append(orphans, m.leased[l])
 	}
-	m.queue, m.leased = nil, make(map[uint64]*assignment)
+	m.queue, m.groups, m.queued = nil, make(map[string]*group), 0
+	m.leased = make(map[uint64]*assignment)
 	woken := map[*member]bool{}
 	for _, a := range orphans {
 		a.lease = 0
 		// Requeue ignores QueueDepth on purpose: survivor queues may
 		// transiently overshoot, but a dead worker's cells must land
 		// somewhere without blocking inside the lock.
-		if t := c.pickLocked(a.key); t != nil {
-			a.owner = t
-			t.queue = append(t.queue, a)
+		if t := c.pickLocked(a.simKey); t != nil {
+			t.push(a)
 			woken[t] = true
 		} else {
-			a.owner = nil
 			c.orphans = append(c.orphans, a)
 		}
 		c.stats.Requeues++
@@ -386,13 +429,15 @@ func (c *Coordinator) Expire() {
 
 // Dispatch routes one task into the fleet: joining an in-flight
 // assignment for the same cell key if one exists, otherwise queueing a
-// new assignment on the key's rendezvous worker. It blocks while the
-// target queue is full — the fleet's backpressure — and returns the
-// task's context error if it is canceled while waiting. With no live
-// workers the task parks on the orphan list and is routed when a worker
-// registers.
+// new assignment on the rendezvous worker of the cell's SimKey, in that
+// worker's queued group for the SimKey. Routing on SimKey sends every
+// policy and technology variant of one machine to the worker whose cache
+// already holds its simulation. It blocks while the target queue is full
+// — the fleet's backpressure — and returns the task's context error if
+// it is canceled while waiting. With no live workers the task parks on
+// the orphan list and is routed when a worker registers.
 func (c *Coordinator) Dispatch(t Task) error {
-	key := t.Cell.Key()
+	key, simKey := t.Cell.Key(), t.Cell.SimKey()
 	for {
 		c.mu.Lock()
 		c.expireLocked(c.now())
@@ -402,19 +447,19 @@ func (c *Coordinator) Dispatch(t Task) error {
 			c.mu.Unlock()
 			return nil
 		}
-		m := c.pickLocked(key)
+		m := c.pickLocked(simKey)
 		if m == nil {
-			a := &assignment{key: key, cell: t.Cell, tasks: []Task{t}, trace: t.TraceID}
+			a := &assignment{key: key, simKey: simKey, cell: t.Cell, tasks: []Task{t}, trace: t.TraceID}
 			c.byKey[key] = a
 			c.orphans = append(c.orphans, a)
 			c.stats.Dispatched++
 			c.mu.Unlock()
 			return nil
 		}
-		if len(m.queue) < c.cfg.QueueDepth {
-			a := &assignment{key: key, cell: t.Cell, tasks: []Task{t}, owner: m, trace: t.TraceID}
+		if m.queued < c.cfg.QueueDepth {
+			a := &assignment{key: key, simKey: simKey, cell: t.Cell, tasks: []Task{t}, trace: t.TraceID}
 			c.byKey[key] = a
-			m.queue = append(m.queue, a)
+			m.push(a)
 			c.stats.Dispatched++
 			c.wakeLocked(m)
 			c.mu.Unlock()
@@ -431,9 +476,11 @@ func (c *Coordinator) Dispatch(t Task) error {
 	}
 }
 
-// Fetch leases up to max queued cells to the worker, long-polling up to
-// wait (capped at Config.MaxWait) when its queue is empty. An empty
-// response means the poll timed out; the worker just fetches again.
+// Fetch leases up to max queued SimKey groups to the worker — every cell
+// of each, so max 1 still returns a whole group — long-polling up to wait
+// (capped at Config.MaxWait) when its queue is empty. A group's cells come
+// back contiguous and in dispatch order. An empty response means the poll
+// timed out; the worker just fetches again.
 func (c *Coordinator) Fetch(ctx context.Context, id string, max int, wait time.Duration) ([]LeaseCell, error) {
 	if max <= 0 {
 		max = 1
@@ -457,20 +504,20 @@ func (c *Coordinator) Fetch(ctx context.Context, id string, max int, wait time.D
 		m.deadline = now.Add(c.cfg.WorkerTTL)
 		canceled := c.pruneQueueLocked(m)
 		var out []LeaseCell
-		for len(m.queue) > 0 && len(out) < max {
-			a := m.queue[0]
-			m.queue = m.queue[1:]
-			c.leaseSeq++
-			a.lease = c.leaseSeq
-			m.leased[a.lease] = a
-			out = append(out, LeaseCell{
-				Lease: a.lease, Key: a.key, Cell: a.cell,
-				TraceID: a.trace, ParentSpan: a.lease,
-			})
-			if a.trace != "" {
-				c.cfg.Trace.Record(a.trace, telemetry.Event{
-					Stage: telemetry.StageLeased, Key: a.key, Worker: id,
+		for n := 0; n < max && len(m.queue) > 0; n++ {
+			for _, a := range m.pop().cells {
+				c.leaseSeq++
+				a.lease = c.leaseSeq
+				m.leased[a.lease] = a
+				out = append(out, LeaseCell{
+					Lease: a.lease, Key: a.key, Cell: a.cell,
+					TraceID: a.trace, ParentSpan: a.lease,
 				})
+				if a.trace != "" {
+					c.cfg.Trace.Record(a.trace, telemetry.Event{
+						Stage: telemetry.StageLeased, Key: a.key, Worker: id,
+					})
+				}
 			}
 		}
 		if len(out) > 0 || len(canceled) > 0 {
@@ -501,19 +548,30 @@ func (c *Coordinator) Fetch(ctx context.Context, id string, max int, wait time.D
 }
 
 // pruneQueueLocked drops queue assignments whose every waiter is
-// canceled, returning them for out-of-lock delivery. Callers hold c.mu.
+// canceled, and groups left empty, returning the assignments for
+// out-of-lock delivery. Callers hold c.mu.
 func (c *Coordinator) pruneQueueLocked(m *member) []*assignment {
 	var gone []*assignment
-	kept := m.queue[:0]
-	for _, a := range m.queue {
-		if a.canceled() {
-			delete(c.byKey, a.key)
-			gone = append(gone, a)
+	keptGroups := m.queue[:0]
+	for _, g := range m.queue {
+		kept := g.cells[:0]
+		for _, a := range g.cells {
+			if a.canceled() {
+				delete(c.byKey, a.key)
+				gone = append(gone, a)
+			} else {
+				kept = append(kept, a)
+			}
+		}
+		g.cells = kept
+		if len(kept) > 0 {
+			keptGroups = append(keptGroups, g)
 		} else {
-			kept = append(kept, a)
+			delete(m.groups, g.simKey)
 		}
 	}
-	m.queue = kept
+	m.queue = keptGroups
+	m.queued -= len(gone)
 	return gone
 }
 
@@ -657,7 +715,7 @@ func (c *Coordinator) Stats() Stats {
 	st.Workers = len(c.workers)
 	st.Unassigned = len(c.orphans)
 	for _, m := range c.workers {
-		st.Queued += len(m.queue)
+		st.Queued += m.queued
 		st.Leased += len(m.leased)
 	}
 	return st
@@ -672,7 +730,7 @@ func (c *Coordinator) Workers() []WorkerInfo {
 		m := c.workers[id]
 		wi := WorkerInfo{
 			ID: m.id, Name: m.name,
-			Queued: len(m.queue), Leased: len(m.leased),
+			Queued: m.queued, Leased: len(m.leased),
 			Done: m.done, Failed: m.failed,
 		}
 		if m.reported != nil {

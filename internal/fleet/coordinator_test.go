@@ -47,6 +47,76 @@ func testCells(t *testing.T, n int) []fusleep.Cell {
 	return cells[:n]
 }
 
+// groupedCells expands machines FU counts (1..machines) × every policy on
+// gcc and returns the cells grouped by SimKey: one group per machine, in
+// grid order, every group the same size.
+func groupedCells(t *testing.T, machines int) [][]fusleep.Cell {
+	t.Helper()
+	fus := make([]int, machines)
+	for i := range fus {
+		fus[i] = i + 1
+	}
+	eng := fusleep.NewEngine(fusleep.WithWindow(testWindow))
+	cells := eng.Cells(fusleep.Grid{Benchmarks: []string{"gcc"}, FUCounts: fus, Window: testWindow})
+	var groups [][]fusleep.Cell
+	at := map[string]int{}
+	for _, c := range cells {
+		i, ok := at[c.SimKey()]
+		if !ok {
+			i = len(groups)
+			at[c.SimKey()] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], c)
+	}
+	if len(groups) != machines || len(groups[0]) < 3 {
+		t.Fatalf("grid grouped into %d SimKeys of %d cells, want %d of at least 3", len(groups), len(groups[0]), machines)
+	}
+	return groups
+}
+
+// distinctSimKeyCells returns n cells with pairwise distinct SimKeys.
+func distinctSimKeyCells(t *testing.T, n int) []fusleep.Cell {
+	t.Helper()
+	var cells []fusleep.Cell
+	for _, g := range groupedCells(t, n) {
+		cells = append(cells, g[0])
+	}
+	return cells
+}
+
+// requireContiguousGroups fails if one SimKey shows up in two separate
+// runs of consecutive leased cells (a group split by Fetch).
+func requireContiguousGroups(t *testing.T, leased []LeaseCell) {
+	t.Helper()
+	seen := map[string]bool{}
+	for i, lc := range leased {
+		k := lc.Cell.SimKey()
+		if i > 0 && leased[i-1].Cell.SimKey() == k {
+			continue
+		}
+		if seen[k] {
+			t.Fatalf("SimKey %s leased in two separate runs", k)
+		}
+		seen[k] = true
+	}
+}
+
+// reportOK reports every leased cell as a success carrying its own cell.
+func reportOK(t *testing.T, c *Coordinator, id string, leased []LeaseCell) int {
+	t.Helper()
+	reps := make([]CellReport, len(leased))
+	for i, lc := range leased {
+		res := fusleep.CellResult{Cell: lc.Cell, RelEnergy: float64(i + 1)}
+		reps[i] = CellReport{Lease: lc.Lease, Key: lc.Key, Result: &res}
+	}
+	accepted, err := c.Report(id, reps)
+	if err != nil {
+		t.Fatalf("Report(%s) = %v", id, err)
+	}
+	return accepted
+}
+
 // outcome captures one task's Done call.
 type outcome struct {
 	worker string
@@ -167,7 +237,9 @@ func TestCoordinatorBackpressureBlocksDispatch(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(Config{Now: clk.now, QueueDepth: 2})
 	id, _ := c.Register("w")
-	cells := testCells(t, 4)
+	// Distinct SimKeys, so each cell is its own group and a max-1 fetch
+	// frees exactly one slot.
+	cells := distinctSimKeyCells(t, 4)
 	for _, cell := range cells[:2] {
 		dispatchTask(t, c, context.Background(), cell)
 	}
@@ -241,14 +313,14 @@ func TestCoordinatorRebalanceOnJoin(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(Config{Now: clk.now, QueueDepth: 100})
 	first, _ := c.Register("first")
-	cells := testCells(t, 6)
+	cells := distinctSimKeyCells(t, 6)
 	for _, cell := range cells {
 		dispatchTask(t, c, context.Background(), cell)
 	}
 	second, _ := c.Register("second")
 
-	// Every queued cell must now sit on its rendezvous pick, and at least
-	// one should have moved (6 keys over 2 workers).
+	// Every queued cell must now sit on the rendezvous pick of its SimKey,
+	// and at least one should have moved (6 SimKeys over 2 workers).
 	got := map[string]string{}
 	for _, id := range []string{first, second} {
 		for _, lc := range fetchAll(t, c, id) {
@@ -260,8 +332,8 @@ func TestCoordinatorRebalanceOnJoin(t *testing.T) {
 	}
 	for _, cell := range cells {
 		key := cell.Key()
-		if want := RendezvousPick(key, []string{first, second}); got[key] != want {
-			t.Errorf("key %s on %s, rendezvous pick is %s", key, got[key], want)
+		if want := RendezvousPick(cell.SimKey(), []string{first, second}); got[key] != want {
+			t.Errorf("key %s on %s, rendezvous pick of its SimKey is %s", key, got[key], want)
 		}
 	}
 	if st := c.Stats(); st.Rebalanced == 0 {
@@ -383,5 +455,209 @@ func TestCoordinatorQuiesceAndCanceledTasks(t *testing.T) {
 	// The canceled assignment never reaches the worker.
 	if leftover := fetchAll(t, c, id); len(leftover) != 0 {
 		t.Fatalf("canceled work leased anyway: %+v", leftover)
+	}
+}
+
+func TestCoordinatorFetchLeasesOneWholeGroup(t *testing.T) {
+	clk := newFakeClock()
+	c := NewCoordinator(Config{Now: clk.now})
+	id, _ := c.Register("w")
+	groups := groupedCells(t, 2)
+	a, b := groups[0], groups[1]
+	// Interleave the two machines' cells at dispatch.
+	for i := range a {
+		dispatchTask(t, c, context.Background(), a[i])
+		dispatchTask(t, c, context.Background(), b[i])
+	}
+	if st := c.Stats(); st.Queued != len(a)+len(b) {
+		t.Fatalf("Queued = %d, want %d cells", st.Queued, len(a)+len(b))
+	}
+	for _, want := range [][]fusleep.Cell{a, b} {
+		got, err := c.Fetch(context.Background(), id, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("max-1 fetch leased %d cells, want the whole %d-cell group", len(got), len(want))
+		}
+		for i, lc := range got {
+			if lc.Key != want[i].Key() {
+				t.Fatalf("lease %d = %s, want %s (one group, dispatch order)", i, lc.Key, want[i].Key())
+			}
+		}
+		if n := reportOK(t, c, id, got); n != len(want) {
+			t.Fatalf("accepted %d of %d", n, len(want))
+		}
+	}
+	if st := c.Stats(); st.Queued != 0 || st.Leased != 0 || st.Completed != uint64(len(a)+len(b)) {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+func TestCoordinatorGroupSplitByQueueDepthSettlesOnce(t *testing.T) {
+	clk := newFakeClock()
+	c := NewCoordinator(Config{Now: clk.now, QueueDepth: 2})
+	id, _ := c.Register("w")
+	group := groupedCells(t, 1)[0]
+
+	// The feeder blocks once two of the group's cells are queued, so the
+	// group reaches the worker across several fetches.
+	var mu sync.Mutex
+	settled := map[string]int{}
+	fed := make(chan error, 1)
+	go func() {
+		for _, cell := range group {
+			err := c.Dispatch(Task{Ctx: context.Background(), Cell: cell,
+				Done: func(_ string, res fusleep.CellResult, err error) {
+					mu.Lock()
+					settled[res.Cell.Key()]++
+					mu.Unlock()
+				}})
+			if err != nil {
+				fed <- err
+				return
+			}
+		}
+		fed <- nil
+	}()
+	fetches, leased := 0, 0
+	for leased < len(group) {
+		got, err := c.Fetch(context.Background(), id, 1, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) > 2 {
+			t.Fatalf("fetch leased %d cells past a queue depth of 2", len(got))
+		}
+		fetches++
+		leased += reportOK(t, c, id, got)
+	}
+	if err := <-fed; err != nil {
+		t.Fatalf("dispatch = %v", err)
+	}
+	if fetches < 2 {
+		t.Fatalf("group of %d arrived in %d fetch; want it split by QueueDepth", len(group), fetches)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, cell := range group {
+		if n := settled[cell.Key()]; n != 1 {
+			t.Errorf("cell %s settled %d times, want 1", cell.Key(), n)
+		}
+	}
+	if st := c.Stats(); st.Completed != uint64(len(group)) || st.Stale != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+func TestCoordinatorRebalanceMovesWholeGroups(t *testing.T) {
+	clk := newFakeClock()
+	c := NewCoordinator(Config{Now: clk.now, QueueDepth: 100})
+	first, _ := c.Register("first")
+	groups := groupedCells(t, 6)
+	for _, g := range groups {
+		for _, cell := range g {
+			dispatchTask(t, c, context.Background(), cell)
+		}
+	}
+	second, _ := c.Register("second")
+	live := []string{first, second}
+
+	where := map[string]string{} // SimKey -> worker that leased it
+	count := map[string]int{}
+	for _, id := range live {
+		leased := fetchAll(t, c, id)
+		requireContiguousGroups(t, leased)
+		for _, lc := range leased {
+			k := lc.Cell.SimKey()
+			if w, ok := where[k]; ok && w != id {
+				t.Fatalf("SimKey %s split across %s and %s", k, w, id)
+			}
+			where[k] = id
+			count[k]++
+		}
+	}
+	moved := 0
+	for _, g := range groups {
+		k := g[0].SimKey()
+		if want := RendezvousPick(k, live); where[k] != want {
+			t.Errorf("SimKey %s on %s, rendezvous pick is %s", k, where[k], want)
+		}
+		if count[k] != len(g) {
+			t.Errorf("SimKey %s leased %d cells, want %d", k, count[k], len(g))
+		}
+		if where[k] == second {
+			moved += len(g)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no group picked the joining worker; the fixture no longer exercises rebalance")
+	}
+	if st := c.Stats(); st.Rebalanced != uint64(moved) {
+		t.Fatalf("Rebalanced = %d, want %d (whole groups)", st.Rebalanced, moved)
+	}
+}
+
+func TestCoordinatorExpiryRequeuesLeasedGroup(t *testing.T) {
+	clk := newFakeClock()
+	c := NewCoordinator(Config{Now: clk.now, WorkerTTL: 10 * time.Second})
+	w1, _ := c.Register("doomed")
+	group := groupedCells(t, 1)[0]
+	done := make([]<-chan outcome, len(group))
+	for i, cell := range group {
+		done[i] = dispatchTask(t, c, context.Background(), cell)
+	}
+	stale, err := c.Fetch(context.Background(), w1, 1, 0)
+	if err != nil || len(stale) != len(group) {
+		t.Fatalf("doomed leased %d cells (%v), want the whole group of %d", len(stale), err, len(group))
+	}
+
+	w2, _ := c.Register("survivor")
+	clk.advance(9 * time.Second)
+	if err := c.Heartbeat(w2, nil); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(2 * time.Second)
+	c.Expire()
+	if st := c.Stats(); st.Expired != 1 || st.Requeues != uint64(len(group)) {
+		t.Fatalf("stats after expiry = %+v, want all %d cells of the group requeued", st, len(group))
+	}
+
+	// The survivor inherits the group whole, in its original order, under
+	// fresh leases.
+	requeued, err := c.Fetch(context.Background(), w2, 1, 0)
+	if err != nil || len(requeued) != len(group) {
+		t.Fatalf("survivor leased %d cells (%v), want %d", len(requeued), err, len(group))
+	}
+	for i, lc := range requeued {
+		if lc.Key != group[i].Key() || lc.Lease == stale[i].Lease {
+			t.Fatalf("requeued lease %d = %+v, was %+v", i, lc, stale[i])
+		}
+	}
+
+	// The dead worker's group report bounces; re-registered, its stale
+	// leases are acknowledged and discarded.
+	if _, err := c.Report(w1, []CellReport{{Lease: stale[0].Lease, Key: stale[0].Key}}); !errors.Is(err, ErrUnknownWorker) {
+		t.Fatalf("dead worker's report = %v, want ErrUnknownWorker", err)
+	}
+	back, _ := c.Register("doomed")
+	if n := reportOK(t, c, back, stale); n != 0 {
+		t.Fatalf("stale group report accepted %d cells, want 0", n)
+	}
+	if n := reportOK(t, c, w2, requeued); n != len(group) {
+		t.Fatalf("survivor report accepted %d of %d", n, len(group))
+	}
+	for i, ch := range done {
+		if got := <-ch; got.err != nil || got.worker != "survivor" {
+			t.Fatalf("cell %d outcome = %+v", i, got)
+		}
+		select {
+		case extra := <-ch:
+			t.Fatalf("cell %d settled twice: %+v", i, extra)
+		default:
+		}
+	}
+	if st := c.Stats(); st.Stale != uint64(len(group)) || st.Completed != uint64(len(group)) {
+		t.Fatalf("stats = %+v", st)
 	}
 }

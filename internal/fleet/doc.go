@@ -6,12 +6,26 @@
 // # Routing
 //
 // Cells route to workers by rendezvous (highest-random-weight) hashing on
-// the stable Cell.Key: every dispatch scores the key against each live
-// worker and picks the maximum, so identical cells — across jobs, requests,
-// and clients — always land on the same worker and deduplicate there, and
-// a membership change moves only the ~1/N of keys whose maximum changed.
-// A second dispatch of a key already in flight joins the first (fleet-wide
-// duplicate-work join): one execution fans its result out to every waiter.
+// Cell.SimKey, the cell's simulation identity (benchmark set, FU mix, L2
+// latency, window): every dispatch scores the SimKey against each live
+// worker and picks the maximum, so every policy and technology variant of
+// one machine — across jobs, requests, and clients — lands on the worker
+// whose cache already holds its simulation, and a membership change moves
+// only the ~1/N of SimKeys whose maximum changed. The fleet simulates each
+// machine once, as the paper's method does, and scores the rest
+// closed-form. Cell.Key, the full result identity, still keys the
+// duplicate-work join: a second dispatch of a cell already in flight joins
+// the first, and one execution fans its result out to every waiter.
+//
+// # Leasing
+//
+// Each worker's queue is an ordered list of SimKey groups: a dispatch joins
+// the queued group for its SimKey or opens one at the tail. Fetch leases
+// whole groups — its max counts groups, so max 1 still returns every queued
+// cell of the head group — and a worker evaluates a group's cells in lease
+// order (the first pays for the simulation, the rest hit the engine's
+// cache) and reports the group in one call. The queue bound (QueueDepth)
+// still counts cells.
 //
 // # Flow control and fault tolerance
 //
@@ -19,8 +33,9 @@
 // target queue full blocks the feeder, which propagates through the
 // server's admission control to 429 + Retry-After at submit. Workers pull
 // work (register → heartbeat → fetch → report), so the coordinator never
-// dials them. Fetched cells are leased: if a worker misses enough
-// heartbeats its leases and queue are requeued over the survivors, and
+// dials them. Fetched cells are leased one lease per cell: if a worker
+// misses enough heartbeats its leases and queue are requeued over the
+// survivors, a leased group re-forming whole on its new owner, and
 // because completed cells are journaled in the result store as they are
 // reported, a requeued replay of already-finished work is served from the
 // store instead of recomputed.

@@ -14,9 +14,9 @@ import (
 
 // Worker is the remote side of the fleet: it dials the coordinator's
 // /v1/fleet endpoints (register → heartbeat → fetch → report), evaluates
-// leased cells through the same Executor the standalone daemon embeds,
-// and reports the outcomes. The coordinator never dials back, so workers
-// need no listener and work from behind NAT.
+// leased SimKey groups through the same Executor the standalone daemon
+// embeds, and reports each group's outcomes in one call. The coordinator
+// never dials back, so workers need no listener and work from behind NAT.
 type Worker struct {
 	// Coordinator is the coordinator's base URL, e.g. "http://host:8080".
 	Coordinator string
@@ -27,9 +27,13 @@ type Worker struct {
 	Exec *Executor
 	// Client is the HTTP client; nil means http.DefaultClient.
 	Client *http.Client
-	// Parallel bounds concurrent cell evaluations (default 1).
+	// Parallel bounds how many leased SimKey groups evaluate at once
+	// (default 1). A group's cells evaluate one after another in lease
+	// order, so the first pays for the simulation and the rest score
+	// closed-form off the engine's cache.
 	Parallel int
-	// FetchBatch is how many cells one fetch may lease (default Parallel).
+	// FetchBatch is how many SimKey groups one fetch may lease, each with
+	// all of its queued cells (default Parallel).
 	FetchBatch int
 	// Wait is the fetch long-poll duration (default 5s).
 	Wait time.Duration
@@ -257,38 +261,73 @@ func (w *Worker) serve(ctx context.Context, id string, ttl time.Duration) {
 		if len(fetched.Cells) == 0 {
 			continue // long poll timed out; fetch again
 		}
-		reports := w.evaluate(ctx, fetched.Cells, parallel)
-		if !w.report(ctx, id, reports) {
+		if !w.runGroups(ctx, id, leaseGroups(fetched.Cells), parallel) {
 			return
 		}
 	}
 }
 
-// evaluate runs the leased cells through the Executor, at most parallel
-// at a time, preserving lease order in the report.
-func (w *Worker) evaluate(ctx context.Context, cells []LeaseCell, parallel int) []CellReport {
-	reports := make([]CellReport, len(cells))
+// leaseGroups splits a fetch into its SimKey groups: the coordinator
+// leases each group's cells contiguously.
+func leaseGroups(cells []LeaseCell) [][]LeaseCell {
+	var groups [][]LeaseCell
+	start, simKey := 0, ""
+	for i, lc := range cells {
+		k := lc.Cell.SimKey()
+		if i > 0 && k != simKey {
+			groups = append(groups, cells[start:i])
+			start = i
+		}
+		simKey = k
+	}
+	if len(cells) > 0 {
+		groups = append(groups, cells[start:])
+	}
+	return groups
+}
+
+// runGroups evaluates the fetched groups, at most parallel at a time, and
+// reports each group in one call as soon as it finishes. It reports false
+// when serve should end (shutdown or expiry); groups not yet started by
+// then are left to the coordinator's requeue.
+func (w *Worker) runGroups(ctx context.Context, id string, groups [][]LeaseCell, parallel int) bool {
+	var stop atomic.Bool
 	sem := make(chan struct{}, parallel)
 	var wg sync.WaitGroup
-	for i, lc := range cells {
+	for _, g := range groups {
 		sem <- struct{}{}
+		if stop.Load() {
+			<-sem
+			break
+		}
 		wg.Add(1)
-		go func(i int, lc LeaseCell) {
+		go func(g []LeaseCell) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			w.inflight.Add(1)
-			res, err := w.Exec.EvalCell(ctx, lc.Cell)
-			w.inflight.Add(-1)
-			r := CellReport{Lease: lc.Lease, Key: lc.Key, Trace: w.takeSpans(lc.Key)}
-			if err != nil {
-				r.Error = ToWireError(err)
-			} else {
-				r.Result = &res
+			if !w.report(ctx, id, w.evaluate(ctx, g)) {
+				stop.Store(true)
 			}
-			reports[i] = r
-		}(i, lc)
+		}(g)
 	}
 	wg.Wait()
+	return !stop.Load()
+}
+
+// evaluate runs one group's cells through the Executor in lease order.
+func (w *Worker) evaluate(ctx context.Context, cells []LeaseCell) []CellReport {
+	reports := make([]CellReport, len(cells))
+	for i, lc := range cells {
+		w.inflight.Add(1)
+		res, err := w.Exec.EvalCell(ctx, lc.Cell)
+		w.inflight.Add(-1)
+		r := CellReport{Lease: lc.Lease, Key: lc.Key, Trace: w.takeSpans(lc.Key)}
+		if err != nil {
+			r.Error = ToWireError(err)
+		} else {
+			r.Result = &res
+		}
+		reports[i] = r
+	}
 	return reports
 }
 

@@ -1,11 +1,11 @@
 // Package server implements fusleepd, the sweep-service daemon: an
 // HTTP/JSON front end over a shared fusleep.Engine. Submitted sweep grids
 // are expanded into cells and fed through a bounded job queue. In
-// standalone mode cells are routed to worker shards by their configuration
-// hash, so identical cells land on the same shard and deduplicate through
-// the engine's simulation cache instead of racing each other. Results
-// stream back per cell as NDJSON, and the server drains in-flight cells
-// gracefully on shutdown.
+// standalone mode cells are routed to worker shards by their simulation
+// identity (SimKey), so every cell needing the same simulations lands on
+// the same shard and deduplicates through the engine's simulation cache
+// instead of racing each other. Results stream back per cell as NDJSON,
+// and the server drains in-flight cells gracefully on shutdown.
 //
 // Tuner jobs (POST /v1/optimize) share the same machinery: the tuner's
 // probes are cells routed through the same queue, so tuner and sweep
@@ -18,15 +18,16 @@
 //
 // With Config.Fleet set (a *fleet.Coordinator), the server evaluates
 // nothing locally: accepted cells are dispatched to remote fusleepd
-// workers by rendezvous hashing on Cell.Key over the live worker set.
-// Workers dial in over the versioned /v1/fleet wire protocol (register,
-// heartbeat, long-poll fetch, report); the coordinator leases cells to
-// them and requeues the leases of any worker that misses its heartbeat
-// TTL, so a worker crash mid-sweep loses nothing. Identical cells from
-// different jobs join the same in-flight assignment fleet-wide, and when
-// a result store is wired in, reported cells are journaled under their
-// configuration hash and later submissions short-circuit through the
-// store without redispatching. Full-queue backpressure on a worker
+// workers by rendezvous hashing on Cell.SimKey over the live worker set,
+// so each machine is simulated once, on one worker. Workers dial in over
+// the versioned /v1/fleet wire protocol (register, heartbeat, long-poll
+// fetch, report); the coordinator leases them whole SimKey groups and
+// requeues the leases of any worker that misses its heartbeat TTL, so a
+// worker crash mid-sweep loses nothing. Identical cells (same Cell.Key)
+// from different jobs join the same in-flight assignment fleet-wide, and
+// when a result store is wired in, reported cells are journaled under
+// their configuration hash and later submissions short-circuit through
+// the store without redispatching. Full-queue backpressure on a worker
 // propagates to submission as 429 + Retry-After. See the internal/fleet
 // package for the coordinator, worker loop, and wire types.
 //

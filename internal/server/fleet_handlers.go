@@ -78,8 +78,9 @@ func (s *Server) handleFleetHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, fleet.HeartbeatResponse{V: fleet.ProtocolVersion, OK: true})
 }
 
-// handleFleetFetch is POST /v1/fleet/fetch: lease up to max queued cells to
-// the worker, long-polling while its queue is empty.
+// handleFleetFetch is POST /v1/fleet/fetch: lease up to max queued SimKey
+// groups (every cell of each) to the worker, long-polling while its queue
+// is empty.
 func (s *Server) handleFleetFetch(w http.ResponseWriter, r *http.Request) {
 	var req fetchReq
 	if !decodeFleet(w, r, &req) {

@@ -320,3 +320,88 @@ func TestFleetBackpressurePropagatesTo429(t *testing.T) {
 		t.Fatalf("envelope = %+v, want code %q", e, fleet.CodeBacklogFull)
 	}
 }
+
+// TestFleetKillWorkerMidGroupExactlyOnce kills a worker part-way through a
+// leased SimKey group: it has evaluated the group's first cell and stalls
+// on the second when its transport dies. The coordinator must requeue the
+// whole group to the survivor, the stream must match a standalone
+// daemon's byte for byte, and every cell must settle exactly once.
+func TestFleetKillWorkerMidGroupExactlyOnce(t *testing.T) {
+	_, tsRef := newTestServer(t, Config{})
+	reference, endRef := rawCellResults(t, tsRef.URL, decodeSubmit(t, postSweep(t, tsRef.URL, chaosGrid)).ID)
+	if endRef.State != StateDone || len(reference) != 12 {
+		t.Fatalf("reference run: state=%s results=%d", endRef.State, len(reference))
+	}
+
+	st, err := store.Open(filepath.Join(t.TempDir(), "coord"), store.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	coord := fleet.NewCoordinator(fleet.Config{WorkerTTL: 500 * time.Millisecond})
+	_, ts := newTestServer(t, Config{
+		Engine:  fusleep.NewEngine(fusleep.WithWindow(testWindow)),
+		Fleet:   coord,
+		Results: st.Results,
+		Jobs:    st.Jobs,
+	})
+
+	// Submit before any worker registers: the whole grid parks unrouted,
+	// so the first fetch leases a complete group (chaosGrid has 3 policy
+	// variants per FU count).
+	sub := decodeSubmit(t, postSweep(t, ts.URL, chaosGrid))
+	waitFor(t, "grid to park unrouted", 10*time.Second, func() bool {
+		return coord.Stats().Unassigned == 12
+	})
+
+	// The doomed worker evaluates its group's first cell, then stalls on
+	// the second.
+	stallInj := fault.New(13)
+	stallInj.Set(fault.CellSlow, fault.Spec{After: 1, Delay: 10 * time.Minute})
+	kt := &killableTransport{}
+	stopDoomed := startWorker(t, ts.URL, &fleet.Worker{
+		Name:           "doomed",
+		Exec:           &fleet.Executor{Engine: fusleep.NewEngine(fusleep.WithWindow(testWindow)), Fault: stallInj},
+		Client:         &http.Client{Transport: kt},
+		Parallel:       1,
+		Wait:           50 * time.Millisecond,
+		HeartbeatEvery: time.Hour,
+	})
+	waitFor(t, "doomed worker to stall mid-group", 30*time.Second, func() bool {
+		return stallInj.Fired(fault.CellSlow) == 1
+	})
+	if ws := fleetWorkers(t, ts.URL); len(ws) != 1 || ws[0].Leased != 3 {
+		t.Fatalf("workers = %+v, want doomed holding one 3-cell group", ws)
+	}
+	kt.kill()
+	stopDoomed()
+
+	startWorker(t, ts.URL, &fleet.Worker{
+		Name:     "survivor",
+		Exec:     &fleet.Executor{Engine: fusleep.NewEngine(fusleep.WithWindow(testWindow))},
+		Parallel: 2,
+		Wait:     50 * time.Millisecond,
+	})
+
+	results, end := rawCellResults(t, ts.URL, sub.ID)
+	if end.State != StateDone || end.Completed != 12 || end.Failed != 0 || end.Skipped != 0 {
+		t.Fatalf("fleet run end = %+v, want 12/12 done", end)
+	}
+	for idx, want := range reference {
+		if got := results[idx]; got != want {
+			t.Fatalf("cell %d differs from standalone:\n  standalone: %s\n  fleet:      %s", idx, want, got)
+		}
+	}
+	fs := coord.Stats()
+	// The leased group requeues with whatever groups were still queued on
+	// the doomed worker; groups move whole, so the count is a multiple of 3.
+	if fs.Expired != 1 || fs.Requeues < 3 || fs.Requeues%3 != 0 {
+		t.Fatalf("fleet stats = %+v, want the doomed worker's whole groups requeued", fs)
+	}
+	if fs.Completed != 12 || fs.Stale != 0 {
+		t.Fatalf("fleet stats = %+v, want 12 completed once each", fs)
+	}
+	if n := st.Results.Len(); n != 12 {
+		t.Fatalf("store holds %d results, want 12", n)
+	}
+}

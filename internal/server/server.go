@@ -509,15 +509,14 @@ func (s *Server) feed(job *sweepJob) {
 			defer s.release(1)
 			if err != nil {
 				s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageFailed, Key: key, Err: err.Error()})
-				if job.fail(err) {
-					s.cellsFailed.Inc()
-				}
+				job.fail(err, s.cellsFailed.Inc)
 				return
 			}
 			res.Index = idx
 			s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageCompleted, Key: key, Worker: worker})
-			job.complete(worker, res)
+			// Count before completing, as the store-served branch does.
 			s.cellsDone.Inc()
+			job.complete(worker, res)
 		}}
 		if !s.enqueue(t) {
 			s.release(len(job.cells) - i)

@@ -133,9 +133,12 @@ func (j *sweepJob) skip(n int) {
 
 // fail records one cell's error. Cancellation-shaped errors on an already
 // aborted job count as skips; a real error latches as the job's failure and
-// cancels the remaining cells.
-func (j *sweepJob) fail(err error) (realFailure bool) {
+// cancels the remaining cells. countReal runs for a real failure before
+// the job can finish, so a metrics scrape taken after the stream's
+// terminal event already counts the failure.
+func (j *sweepJob) fail(err error, countReal func()) {
 	cancelErr := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	realFailure := false
 	j.mu.Lock()
 	if cancelErr && (j.canceled || j.err != nil) {
 		j.skipped++
@@ -145,6 +148,7 @@ func (j *sweepJob) fail(err error) (realFailure bool) {
 			j.err = err
 		}
 		realFailure = true
+		countReal()
 	}
 	j.settled++
 	notify := j.maybeFinish()
@@ -158,7 +162,6 @@ func (j *sweepJob) fail(err error) (realFailure bool) {
 	if notify != nil {
 		notify()
 	}
-	return realFailure
 }
 
 // jobState implements queueJob for the retention registry.

@@ -366,8 +366,10 @@ func (s *Server) runTune(job *tuneJob, opts []fusleep.TuneOption) {
 	defer s.release(job.maxEvals)
 	opts = append(opts, fusleep.WithTuneEvaluator(s.queueEvaluator(job.id, job.addWorker)))
 	res, err := s.eng.OptimizeStream(job.ctx, func(p fusleep.TuneProbe) error {
-		job.addProbe(p)
+		// Count before publishing: a stream reader that sees the probe
+		// must find it in the metrics too.
 		s.probesDone.Add(1)
+		job.addProbe(p)
 		return nil
 	}, opts...)
 	job.finish(res, err)
