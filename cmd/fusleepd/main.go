@@ -165,7 +165,7 @@ func main() {
 	// store's append-latency histogram render in a single /metrics scrape.
 	reg := telemetry.NewRegistry()
 	appendSeconds := reg.NewHistogramVec("fusleepd_store_append_seconds",
-		"Durable journal append latency by journal (results or jobs).", nil, "journal")
+		"Durable journal append latency by journal (results or jobs).", telemetry.FineBuckets, "journal")
 
 	var st *store.Store
 	if *storeDir != "" {
@@ -178,9 +178,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fusleepd: open store: %v\n", err)
 			os.Exit(1)
 		}
-		if rs := st.Results.Stats(); rs.Recovered > 0 || rs.TruncatedBytes > 0 {
+		rs := st.Results.Stats()
+		if rs.Recovered > 0 || rs.TruncatedBytes > 0 {
 			logger.Info("store recovered", "dir", *storeDir,
 				"results", rs.Recovered, "tornBytes", rs.TruncatedBytes)
+		}
+		if rs.Invalid > 0 {
+			logger.Warn("store skipped invalid result records; their cells will be recomputed",
+				"dir", *storeDir, "invalid", rs.Invalid)
 		}
 		engOpts = append(engOpts, fusleep.WithResultStore(st.Results))
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/archsim/fusleep/internal/core"
@@ -110,27 +111,93 @@ func (c Cell) PolicyLabel() string {
 // affects the result — including the per-class mix, class list, policy
 // assignment, and technology overrides, each serialized in canonical class
 // order.
+//
+// The hashed text is "policy|slices|timeout|P|C|overhead|duty|fus|alpha|
+// l2|window|bench,...|agus|mults|fpalus|fpmults" followed by "|c:class"
+// per studied class, "|a:assignment", and "|t:class:P:C:overhead:duty" per
+// class technology, with every float in %.17g form. Keys are persisted in
+// result journals and job WALs, so that text must never change; it is
+// built with strconv appends into a stack buffer because the daemon keys
+// every cell it serves.
 func (c Cell) Key() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%.17g|%.17g|%.17g|%.17g|%d|%.17g|%d|%d|%s",
-		c.Policy.Policy.String(), c.Policy.Slices, c.Policy.Timeout,
-		c.Tech.P, c.Tech.C, c.Tech.SleepOverhead, c.Tech.Duty,
-		c.FUs, c.Alpha, c.L2Latency, c.Window,
-		strings.Join(c.Benchmarks, ","))
-	fmt.Fprintf(h, "|%d|%d|%d|%d", c.AGUs, c.Mults, c.FPALUs, c.FPMults)
+	var stack [256]byte
+	b := append(stack[:0], c.Policy.Policy.String()...)
+	b = appendKeyInt(b, c.Policy.Slices)
+	b = appendKeyInt(b, c.Policy.Timeout)
+	b = appendKeyTech(b, '|', c.Tech)
+	b = appendKeyInt(b, c.FUs)
+	b = appendKeyFloat(b, '|', c.Alpha)
+	b = appendKeyInt(b, c.L2Latency)
+	b = strconv.AppendUint(append(b, '|'), c.Window, 10)
+	b = append(b, '|')
+	for i, name := range c.Benchmarks {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, name...)
+	}
+	b = appendKeyInt(b, c.AGUs)
+	b = appendKeyInt(b, c.Mults)
+	b = appendKeyInt(b, c.FPALUs)
+	b = appendKeyInt(b, c.FPMults)
 	if len(c.Classes) > 0 {
 		for _, cl := range c.StudiedClasses() {
-			fmt.Fprintf(h, "|c:%s", cl)
+			b = append(append(b, "|c:"...), cl.String()...)
 		}
 	}
 	if len(c.Assignment) > 0 {
-		fmt.Fprintf(h, "|a:%s", c.Assignment)
+		b = append(append(b, "|a:"...), c.Assignment.String()...)
 	}
 	for _, cl := range sortedClassKeys(c.ClassTechs) {
-		t := c.ClassTechs[cl]
-		fmt.Fprintf(h, "|t:%s:%.17g:%.17g:%.17g:%.17g", cl, t.P, t.C, t.SleepOverhead, t.Duty)
+		b = append(append(b, "|t:"...), cl.String()...)
+		b = appendKeyTech(b, ':', c.ClassTechs[cl])
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return hexKey(fnv64a(b))
+}
+
+// appendKeyInt appends "|n" to a key text.
+func appendKeyInt(b []byte, n int) []byte {
+	return strconv.AppendInt(append(b, '|'), int64(n), 10)
+}
+
+// appendKeyFloat appends sep and v in %.17g form to a key text.
+func appendKeyFloat(b []byte, sep byte, v float64) []byte {
+	return strconv.AppendFloat(append(b, sep), v, 'g', 17, 64)
+}
+
+// appendKeyTech appends a technology point's four parameters to a key
+// text, each preceded by sep.
+func appendKeyTech(b []byte, sep byte, t core.Tech) []byte {
+	b = appendKeyFloat(b, sep, t.P)
+	b = appendKeyFloat(b, sep, t.C)
+	b = appendKeyFloat(b, sep, t.SleepOverhead)
+	return appendKeyFloat(b, sep, t.Duty)
+}
+
+// fnv64a is the 64-bit FNV-1a hash of b, inlined so hashing a stack
+// buffer does not move it to the heap.
+func fnv64a(b []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, x := range b {
+		h ^= uint64(x)
+		h *= prime64
+	}
+	return h
+}
+
+// hexKey renders a hash as 16 zero-padded lowercase hex digits.
+func hexKey(h uint64) string {
+	const digits = "0123456789abcdef"
+	var out [16]byte
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = digits[h&0xf]
+		h >>= 4
+	}
+	return string(out[:])
 }
 
 // SimKey returns a stable identity hash of the simulation-only part of the

@@ -173,3 +173,22 @@ func TestStreamEncoderFlushes(t *testing.T) {
 		t.Errorf("buffered writer not flushed per line: %q", got)
 	}
 }
+
+func TestStreamEncoderWriteRawFlushesOnlyOnFlush(t *testing.T) {
+	var buf bytes.Buffer
+	bw := bufio.NewWriterSize(&buf, 1<<16)
+	enc := NewStreamEncoder(bw)
+	if err := enc.WriteRaw([]byte("{\"a\":1}\n{\"a\":2}\n")); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("WriteRaw flushed before Flush: %q", buf.String())
+	}
+	enc.Flush()
+	if err := enc.Encode(map[string]int{"a": 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != "{\"a\":1}\n{\"a\":2}\n{\"a\":3}\n" {
+		t.Errorf("raw and encoded lines out of order: %q", got)
+	}
+}

@@ -22,17 +22,20 @@ func RenderNDJSON(w io.Writer, artifacts []Artifact) error {
 }
 
 // StreamEncoder writes arbitrary values as NDJSON, flushing after every
-// line when the destination supports it (http.Flusher or a *bufio.Writer
-// style Flush method), so long-lived HTTP responses deliver each event as
-// it happens rather than when the connection buffer fills.
+// encoded line when the destination supports it (http.Flusher or a
+// *bufio.Writer style Flush method), so long-lived HTTP responses deliver
+// each event as it happens rather than when the connection buffer fills.
+// Callers that already hold encoded lines write them with WriteRaw, which
+// does not flush, and push a whole batch downstream with one Flush.
 type StreamEncoder struct {
+	w     io.Writer
 	enc   *json.Encoder
 	flush func()
 }
 
 // NewStreamEncoder wraps w for line-at-a-time NDJSON emission.
 func NewStreamEncoder(w io.Writer) *StreamEncoder {
-	s := &StreamEncoder{enc: json.NewEncoder(w)}
+	s := &StreamEncoder{w: w, enc: json.NewEncoder(w)}
 	switch f := w.(type) {
 	case http.Flusher:
 		s.flush = f.Flush
@@ -47,8 +50,21 @@ func (s *StreamEncoder) Encode(v any) error {
 	if err := s.enc.Encode(v); err != nil {
 		return err
 	}
+	s.Flush()
+	return nil
+}
+
+// WriteRaw writes already-encoded NDJSON (whole lines, each ending in a
+// newline) without flushing; call Flush once the batch is written.
+func (s *StreamEncoder) WriteRaw(p []byte) error {
+	_, err := s.w.Write(p)
+	return err
+}
+
+// Flush pushes everything written so far downstream (a no-op when the
+// destination cannot flush).
+func (s *StreamEncoder) Flush() {
 	if s.flush != nil {
 		s.flush()
 	}
-	return nil
 }

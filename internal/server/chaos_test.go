@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -377,5 +378,87 @@ func TestRecoveredJobVisibleInListing(t *testing.T) {
 	sub := decodeSubmit(t, postSweep(t, ts.URL, chaosGrid))
 	if sub.ID != "s-000008" {
 		t.Fatalf("next id = %s, want s-000008", sub.ID)
+	}
+}
+
+// TestRecoveredStoreSkipsInvalidRecords plants CRC-valid result records
+// that are not canonical CellResult encodings under real cell keys — the
+// kind of record a bug or a hand-edited journal could leave behind. Hits
+// are served as raw stored bytes, so such a record must never reach a
+// stream: OpenResults drops it and counts it, and the daemon recomputes
+// the cell, streams the correct result, and journals it anew.
+func TestRecoveredStoreSkipsInvalidRecords(t *testing.T) {
+	_, tsRef := newTestServer(t, Config{})
+	sub := decodeSubmit(t, postSweep(t, tsRef.URL, chaosGrid))
+	reference, end := rawCellResults(t, tsRef.URL, sub.ID)
+	if end.State != StateDone || len(reference) != 12 {
+		t.Fatalf("reference run: state=%s results=%d", end.State, len(reference))
+	}
+
+	var req SweepRequest
+	if err := json.Unmarshal([]byte(chaosGrid), &req); err != nil {
+		t.Fatal(err)
+	}
+	g, err := req.grid(10_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := fusleep.NewEngine(fusleep.WithWindow(testWindow)).Cells(g)
+	// Each planted record would stream a visibly wrong relEnergy if it were
+	// spliced: the reference result with one number changed.
+	tamper := func(i int) string {
+		return strings.Replace(reference[i], `"relEnergy":`, `"relEnergy":99,"x":`, 1)
+	}
+	planted := map[int]string{
+		0: `not json at all`,
+		1: `{"index":0,"cell":"gcc"}`,
+		2: strings.Replace(tamper(2), `{"index":2,`, `{"cell":{},"index":0,`, 1), // no canonical prefix
+		3: strings.Replace(reference[3], `{"index":3,`, `{"index":0, `, 1),       // decodes, not canonical
+		4: strings.Replace(tamper(4), `{"index":4,`, `{"index":0,`, 1),           // unknown field
+	}
+	dir := filepath.Join(t.TempDir(), "fusleepd")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := store.OpenJournal(filepath.Join(dir, store.ResultsFile), store.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, data := range planted {
+		// Kind 1 is the result store's record kind.
+		if err := j.Append(store.Record{Kind: 1, Key: cells[i].Key(), Data: []byte(data)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts, st, eng := crashServer(t, dir, nil)
+	if got := st.Results.Stats(); got.Invalid != len(planted) || got.Results != 0 {
+		t.Fatalf("opened store: %+v, want %d invalid records and no results", got, len(planted))
+	}
+	body := scrapeMetrics(t, ts.URL)
+	if v := metricValue(t, body, "fusleepd_store_invalid_records"); v != float64(len(planted)) {
+		t.Fatalf("fusleepd_store_invalid_records = %v, want %d", v, len(planted))
+	}
+	sub = decodeSubmit(t, postSweep(t, ts.URL, chaosGrid))
+	got, end := rawCellResults(t, ts.URL, sub.ID)
+	if end.State != StateDone || len(got) != 12 {
+		t.Fatalf("run over planted store: state=%s results=%d", end.State, len(got))
+	}
+	for idx, want := range reference {
+		if got[idx] != want {
+			t.Fatalf("cell %d differs from the reference:\n  want %s\n  got  %s", idx, want, got[idx])
+		}
+	}
+	if served := s.storeServed.Load(); served != 0 {
+		t.Fatalf("served %d cells from a store holding only invalid records", served)
+	}
+	if sims := eng.Stats().Simulations; sims == 0 {
+		t.Fatal("no simulations: the planted cells were not recomputed")
+	}
+	if n := st.Results.Len(); n != 12 {
+		t.Fatalf("store holds %d results after the run, want 12", n)
 	}
 }

@@ -4,12 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/archsim/fusleep"
 	"github.com/archsim/fusleep/internal/fleet"
+	"github.com/archsim/fusleep/internal/store"
 )
 
 // randomGrid draws a seeded sweep over two FU-class axes (4 SimKeys per
@@ -66,7 +69,9 @@ func marshalResults(t *testing.T, results []fusleep.CellResult) map[int]string {
 	return out
 }
 
-// sweepDaemon submits body to base and returns the streamed results.
+// sweepDaemon submits body to base and returns the streamed results,
+// after checking that the job's ?poll=1 snapshot carries byte-identical
+// results.
 func sweepDaemon(t *testing.T, base, body string, cells int) map[int]string {
 	t.Helper()
 	sub := decodeSubmit(t, postSweep(t, base, body))
@@ -74,7 +79,82 @@ func sweepDaemon(t *testing.T, base, body string, cells int) map[int]string {
 	if end.State != StateDone || len(out) != cells {
 		t.Fatalf("sweep end = %+v with %d results, want %d done", end, len(out), cells)
 	}
+	polled := pollResults(t, base, sub.ID)
+	if len(polled) != len(out) {
+		t.Fatalf("poll snapshot has %d results, stream had %d", len(polled), len(out))
+	}
+	for i, want := range out {
+		if polled[i] != want {
+			t.Fatalf("cell %d: poll snapshot differs from stream:\n  stream: %s\n  poll:   %s", i, want, polled[i])
+		}
+	}
 	return out
+}
+
+// pollResults fetches a sweep's ?poll=1 snapshot and returns each result
+// document exactly as served, keyed by grid index.
+func pollResults(t *testing.T, base, id string) map[int]string {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/sweeps/" + id + "?poll=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap struct {
+		Results []json.RawMessage `json:"results"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[int]string, len(snap.Results))
+	for _, raw := range snap.Results {
+		var idx struct {
+			Index int `json:"index"`
+		}
+		if err := json.Unmarshal(raw, &idx); err != nil {
+			t.Fatal(err)
+		}
+		out[idx.Index] = string(raw)
+	}
+	return out
+}
+
+// sweepRestarted runs body on a store-backed daemon (fresh cells, streamed
+// from the bytes the engine journaled), closes it and its store, then
+// reopens the store under a new Server and resubmits: every cell of the
+// second stream is served from the reopened journal. It returns both
+// streams.
+func sweepRestarted(t *testing.T, body string, cells int) (fresh, replayed map[int]string) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "store")
+	incarnation := func() (*Server, string, func()) {
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := fusleep.NewEngine(fusleep.WithWindow(testWindow), fusleep.WithResultStore(st.Results))
+		s, ts := newTestServer(t, Config{Engine: eng, Results: st.Results, Jobs: st.Jobs})
+		if _, err := s.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		return s, ts.URL, func() {
+			ts.Close()
+			s.Close()
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, base, stop := incarnation()
+	fresh = sweepDaemon(t, base, body, cells)
+	stop()
+	s, base, stop := incarnation()
+	defer stop()
+	replayed = sweepDaemon(t, base, body, cells)
+	if served := s.storeServed.Load(); served != uint64(cells) {
+		t.Fatalf("restarted daemon served %d of %d cells from the store", served, cells)
+	}
+	return fresh, replayed
 }
 
 // sweepFleet runs body on a fresh coordinator with one worker per entry of
@@ -106,10 +186,13 @@ func sweepFleet(t *testing.T, body string, cells int, parallel ...int) (map[int]
 	return out, sims
 }
 
-// TestDifferentialByteIdentity evaluates seeded random grids five ways —
-// Engine.RunCell per cell, Engine.RunCells, a standalone daemon, and a
+// TestDifferentialByteIdentity evaluates seeded random grids six ways —
+// Engine.RunCell per cell, Engine.RunCells, a standalone daemon, a
 // 1-coordinator/2-worker fleet with Parallel 1 and with one worker at
-// Parallel 2 — and requires byte-identical CellResult JSON from all five.
+// Parallel 2, and a store-backed daemon restarted over its store and
+// resubmitted — and requires byte-identical CellResult JSON from all six.
+// Every daemon way also checks its ?poll=1 snapshot against its stream,
+// so poll results match for fresh, marshalled, and store-served cells.
 // The fleets must also simulate each (SimKey, program) pair exactly once:
 // SimKey routing keeps every variant of a machine on one worker.
 func TestDifferentialByteIdentity(t *testing.T) {
@@ -151,6 +234,7 @@ func TestDifferentialByteIdentity(t *testing.T) {
 		_, ts := newTestServer(t, Config{})
 		fleet1, sims1 := sweepFleet(t, string(body), len(cells), 1, 1)
 		fleet2, sims2 := sweepFleet(t, string(body), len(cells), 1, 2)
+		stored, replayed := sweepRestarted(t, string(body), len(cells))
 
 		want := marshalResults(t, perCell)
 		ways := []struct {
@@ -161,6 +245,8 @@ func TestDifferentialByteIdentity(t *testing.T) {
 			{"standalone daemon", sweepDaemon(t, ts.URL, string(body), len(cells))},
 			{"fleet, Parallel 1", fleet1},
 			{"fleet, one worker at Parallel 2", fleet2},
+			{"store-backed daemon", stored},
+			{"restarted daemon, replayed from the store", replayed},
 		}
 		for _, w := range ways {
 			for i := range cells {

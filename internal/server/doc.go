@@ -5,7 +5,11 @@
 // identity (SimKey), so every cell needing the same simulations lands on
 // the same shard and deduplicates through the engine's simulation cache
 // instead of racing each other. Results stream back per cell as NDJSON,
-// and the server drains in-flight cells gracefully on shutdown.
+// and the server drains in-flight cells gracefully on shutdown. Each
+// result is encoded once: a stream line splices the canonical bytes the
+// result store holds (or one json.Marshal when no store is wired in),
+// so a store hit is served without a decode, and each batch of lines
+// that completed between two stream wake-ups is flushed once.
 //
 // Tuner jobs (POST /v1/optimize) share the same machinery: the tuner's
 // probes are cells routed through the same queue, so tuner and sweep

@@ -45,11 +45,11 @@ func (s *Server) registerMetrics() {
 
 	// Latency distributions.
 	s.evalSeconds = reg.NewHistogram("fusleepd_cell_eval_seconds",
-		"Cell evaluation attempt latency, local and fleet-reported.", nil)
+		"Cell evaluation attempt latency, local and fleet-reported.", telemetry.FineBuckets)
 	s.httpSeconds = reg.NewHistogramVec("fusleepd_http_request_seconds",
 		"HTTP request duration by mux route and status code.", nil, "route", "code")
 	s.queueWait = reg.NewHistogram("fusleepd_queue_wait_seconds",
-		"Time a cell waits between dispatch and execution (shard dequeue or fleet lease).", nil)
+		"Time a cell waits between dispatch and execution (shard dequeue or fleet lease).", telemetry.FineBuckets)
 	s.roundtrip = reg.NewHistogram("fusleepd_worker_roundtrip_seconds",
 		"Fleet lease-to-report round trip per cell.", nil)
 	s.retryBackoff = reg.NewHistogram("fusleepd_retry_backoff_seconds",
@@ -92,6 +92,8 @@ func (s *Server) registerMetrics() {
 			func() float64 { return float64(rs.Stats().Results) })
 		gaugeFn("fusleepd_store_journal_bytes", "On-disk size of the result journal.",
 			func() float64 { return float64(rs.Stats().Bytes) })
+		gaugeFn("fusleepd_store_invalid_records", "Intact result records skipped at open as not canonical; their cells are recomputed.",
+			func() float64 { return float64(rs.Stats().Invalid) })
 	}
 	if jl := s.cfg.Jobs; jl != nil {
 		gaugeFn("fusleepd_wal_bytes", "On-disk size of the job WAL.",

@@ -458,10 +458,11 @@ func (s *Server) worker(sh *shard) {
 func (s *Server) enqueue(t task) bool {
 	if fl := s.cfg.Fleet; fl != nil {
 		if s.cfg.Results != nil && t.ctx.Err() == nil {
-			if res, ok, err := s.cfg.Results.GetCell(t.cell.Key()); err == nil && ok {
+			key := t.cell.Key()
+			if res, ok, err := s.cfg.Results.GetCell(key); err == nil && ok {
 				s.storeServed.Inc()
 				if t.trace != "" {
-					s.trace.Record(t.trace, telemetry.Event{Stage: telemetry.StageStoreServed, Key: t.cell.Key()})
+					s.trace.Record(t.trace, telemetry.Event{Stage: telemetry.StageStoreServed, Key: key})
 				}
 				t.done("", res, nil)
 				return true
@@ -488,15 +489,14 @@ func (s *Server) feed(job *sweepJob) {
 		idx := i
 		key := c.Key()
 		if s.cfg.Results != nil && job.ctx.Err() == nil {
-			if res, ok, err := s.cfg.Results.GetCell(key); err == nil && ok {
-				res.Index = idx
+			if canon, ok := s.cfg.Results.ServeCell(key); ok {
 				// Count before completing: complete() may finish the job and
 				// release its stream, and the metrics must already agree with
 				// what that stream announced.
 				s.cellsDone.Inc()
 				s.storeServed.Inc()
 				s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageStoreServed, Key: key})
-				job.complete("", res)
+				job.complete("", cellLine{key: key, index: idx, result: canon})
 				s.release(1)
 				continue
 			}
@@ -507,16 +507,19 @@ func (s *Server) feed(job *sweepJob) {
 		s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageDispatched, Key: key})
 		t := task{ctx: job.ctx, cell: c, trace: job.id, enqueued: time.Now(), done: func(worker string, res fusleep.CellResult, err error) {
 			defer s.release(1)
+			var canon []byte
+			if err == nil {
+				canon, err = s.resultBytes(key, res)
+			}
 			if err != nil {
 				s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageFailed, Key: key, Err: err.Error()})
 				job.fail(err, s.cellsFailed.Inc)
 				return
 			}
-			res.Index = idx
 			s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageCompleted, Key: key, Worker: worker})
 			// Count before completing, as the store-served branch does.
 			s.cellsDone.Inc()
-			job.complete(worker, res)
+			job.complete(worker, cellLine{key: key, index: idx, result: canon})
 		}}
 		if !s.enqueue(t) {
 			s.release(len(job.cells) - i)
@@ -524,6 +527,25 @@ func (s *Server) feed(job *sweepJob) {
 			return
 		}
 	}
+}
+
+// resultBytes returns a freshly computed cell's canonical encoding (Index
+// 0): the bytes the result store journaled for key when the cell was put
+// there — by the engine's store tier or by fleetResult — before this
+// completion, else one json.Marshal (no store configured, or the put
+// failed).
+func (s *Server) resultBytes(key string, res fusleep.CellResult) ([]byte, error) {
+	if s.cfg.Results != nil {
+		if canon, ok := s.cfg.Results.CellBytes(key); ok {
+			return canon, nil
+		}
+	}
+	res.Index = 0
+	canon, err := json.Marshal(res)
+	if err != nil {
+		return nil, fmt.Errorf("encode cell %s result: %w", key, err)
+	}
+	return canon, nil
 }
 
 // capacity is the admission-control threshold on the unsettled backlog.

@@ -540,3 +540,38 @@ func TestStreamEventRoundTrip(t *testing.T) {
 		t.Errorf("policy not serialized by name: %s", buf.String())
 	}
 }
+
+// TestCellLineMatchesEncoder pins the spliced cell line to the bytes
+// json.Encoder writes for the equivalent streamEvent, including HTML
+// escaping in the job ID and in result strings.
+func TestCellLineMatchesEncoder(t *testing.T) {
+	eng := fusleep.NewEngine()
+	cells := eng.Cells(fusleep.Grid{
+		Benchmarks:  []string{"gcc", "mcf"},
+		Assignments: []fusleep.Assignment{{fusleep.FUIntALU: {Policy: fusleep.GradualSleep, Slices: 3}}},
+	})
+	res := fusleep.CellResult{Cell: cells[0], RelEnergy: 0.42, LeakageFraction: 1e-9, MeanCycles: 31557.5}
+	canon, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"s-000001", `s-<&>"\x`} {
+		idJSON, err := json.Marshal(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, idx := range []int{0, 9, 4095} {
+			line := cellLine{key: cells[0].Key(), index: idx, result: canon}
+			r := res
+			r.Index = idx
+			var want bytes.Buffer
+			ev := streamEvent{Event: "cell", ID: id, Key: line.key, Result: &r}
+			if err := json.NewEncoder(&want).Encode(ev); err != nil {
+				t.Fatal(err)
+			}
+			if got := line.appendEvent(nil, idJSON); string(got) != want.String() {
+				t.Fatalf("id %q index %d:\n  got  %s  want %s", id, idx, got, want.String())
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"sort"
@@ -10,6 +11,7 @@ import (
 
 	"github.com/archsim/fusleep"
 	"github.com/archsim/fusleep/internal/report"
+	"github.com/archsim/fusleep/internal/store"
 	"github.com/archsim/fusleep/internal/telemetry"
 )
 
@@ -40,9 +42,9 @@ type sweepJob struct {
 	onTerminal func(state string)
 
 	mu       sync.Mutex
-	results  []fusleep.CellResult // completion order, not grid order
-	workers  map[string]struct{}  // fleet workers that completed cells
-	settled  int                  // cells accounted for (completed + failed + skipped)
+	results  []cellLine          // completion order, not grid order
+	workers  map[string]struct{} // fleet workers that completed cells
+	settled  int                 // cells accounted for (completed + failed + skipped)
 	failed   int
 	skipped  int
 	canceled bool // an explicit cancel request arrived
@@ -94,11 +96,40 @@ func (j *sweepJob) maybeFinish() (notify func()) {
 	return func() { cb(state) }
 }
 
+// cellLine is one completed cell as the job serves it: the cell key, its
+// grid index, and its result in the result store's canonical encoding
+// (Index 0; store.AppendIndexed sets the index on the way out). result
+// may be shared with the store's index and is never modified.
+type cellLine struct {
+	key    string
+	index  int
+	result []byte
+}
+
+// appendResult appends the line's result JSON, Index set.
+func (l cellLine) appendResult(dst []byte) []byte {
+	return store.AppendIndexed(dst, l.result, l.index)
+}
+
+// appendEvent appends the line's NDJSON "cell" event for the job whose
+// JSON-quoted ID is idJSON: byte-for-byte what json.Encoder writes for
+// streamEvent{Event: "cell", ID, Key, Result}. The key is hex, so it
+// needs no escaping.
+func (l cellLine) appendEvent(dst, idJSON []byte) []byte {
+	dst = append(dst, `{"event":"cell","id":`...)
+	dst = append(dst, idJSON...)
+	dst = append(dst, `,"key":"`...)
+	dst = append(dst, l.key...)
+	dst = append(dst, `","result":`...)
+	dst = l.appendResult(dst)
+	return append(dst, "}\n"...)
+}
+
 // complete records one finished cell; worker names the fleet worker that
 // computed it ("" for local evaluation and store serves).
-func (j *sweepJob) complete(worker string, res fusleep.CellResult) {
+func (j *sweepJob) complete(worker string, line cellLine) {
 	j.mu.Lock()
-	j.results = append(j.results, res)
+	j.results = append(j.results, line)
 	if worker != "" {
 		if j.workers == nil {
 			j.workers = make(map[string]struct{})
@@ -209,38 +240,37 @@ func (j *sweepJob) info() jobInfo {
 	return j.infoLocked()
 }
 
-// snapshot returns the job's status plus the completed cell results
-// (completion order).
-func (j *sweepJob) snapshot() (jobInfo, []fusleep.CellResult) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	results := make([]fusleep.CellResult, len(j.results))
-	copy(results, j.results)
-	return j.infoLocked(), results
-}
-
-// watch returns the results that completed at or after offset, the current
+// watch returns the lines that completed at or after offset, the current
 // state, and the channel that closes on the next change — everything a
 // streaming handler needs per iteration, under one lock acquisition.
-func (j *sweepJob) watch(offset int) (fresh []fusleep.CellResult, state string, updated <-chan struct{}) {
+func (j *sweepJob) watch(offset int) (fresh []cellLine, state string, updated <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if offset < len(j.results) {
-		fresh = make([]fusleep.CellResult, len(j.results)-offset)
+		fresh = make([]cellLine, len(j.results)-offset)
 		copy(fresh, j.results[offset:])
 	}
 	return fresh, j.state, j.updated
 }
 
-// sweepPollResponse is the ?poll=1 snapshot: status plus completed results.
+// sweepPollResponse is the ?poll=1 snapshot: status plus completed
+// results, each the same JSON document the stream's cell line carries.
 type sweepPollResponse struct {
 	jobInfo
-	Results []fusleep.CellResult `json:"results"`
+	Results []json.RawMessage `json:"results"`
 }
 
-// servePoll implements queueJob: the point-in-time JSON snapshot.
+// servePoll implements queueJob: the point-in-time JSON snapshot. The
+// results are spliced from their stored encodings, never decoded.
 func (j *sweepJob) servePoll(w http.ResponseWriter) {
-	info, results := j.snapshot()
+	j.mu.Lock()
+	info := j.infoLocked()
+	lines := append([]cellLine(nil), j.results...)
+	j.mu.Unlock()
+	results := make([]json.RawMessage, len(lines))
+	for i, l := range lines {
+		results[i] = l.appendResult(nil)
+	}
 	writeJSON(w, http.StatusOK, sweepPollResponse{jobInfo: info, Results: results})
 }
 
@@ -257,13 +287,20 @@ type streamEvent struct {
 	Failed    int    `json:"failed,omitempty"`
 	Skipped   int    `json:"skipped,omitempty"`
 	Error     string `json:"error,omitempty"`
-	// Cell fields.
+	// Cell fields. serveStream writes cell lines with cellLine.appendEvent,
+	// which produces exactly this struct's json.Encoder encoding.
 	Key    string              `json:"key,omitempty"`
 	Result *fusleep.CellResult `json:"result,omitempty"`
 }
 
+// streamChunk bounds the bytes serveStream buffers before handing a
+// wake-up batch's lines to the connection.
+const streamChunk = 32 << 10
+
 // serveStream implements queueJob: a header line, one line per completed
-// cell as it lands (completion order), and a terminal summary line.
+// cell as it lands (completion order), and a terminal summary line. Cell
+// lines are spliced from the cells' canonical result bytes, and each
+// wake-up's batch of them is flushed once.
 func (j *sweepJob) serveStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
@@ -273,15 +310,26 @@ func (j *sweepJob) serveStream(w http.ResponseWriter, r *http.Request) {
 	if err := enc.Encode(streamEvent{Event: "sweep", ID: j.id, State: info.State, Cells: info.Cells}); err != nil {
 		return
 	}
+	idJSON, err := json.Marshal(j.id)
+	if err != nil {
+		return
+	}
+	var buf []byte
 	sent := 0
 	for {
 		fresh, state, updated := j.watch(sent)
-		for _, res := range fresh {
-			ev := streamEvent{Event: "cell", ID: j.id, Key: res.Cell.Key(), Result: &res}
-			if err := enc.Encode(ev); err != nil {
-				return
+		for i, line := range fresh {
+			buf = line.appendEvent(buf, idJSON)
+			if len(buf) >= streamChunk || i == len(fresh)-1 {
+				if err := enc.WriteRaw(buf); err != nil {
+					return
+				}
+				buf = buf[:0]
 			}
-			sent++
+		}
+		sent += len(fresh)
+		if len(fresh) > 0 {
+			enc.Flush()
 		}
 		if state != StateRunning {
 			info := j.info()

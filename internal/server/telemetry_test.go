@@ -152,6 +152,10 @@ func TestMetricsExpositionValid(t *testing.T) {
 		"fusleepd_http_request_seconds_bucket{",
 		"fusleepd_queue_wait_seconds_count ",
 		"fusleepd_trace_stage_seconds_bucket{",
+		// Warm cells and idle-shard waits finish under 100µs; both
+		// histograms resolve down to 1µs.
+		`fusleepd_cell_eval_seconds_bucket{le="1e-06"} `,
+		`fusleepd_queue_wait_seconds_bucket{le="5e-05"} `,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q", want)

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 
 	"github.com/archsim/fusleep/internal/experiments"
@@ -12,6 +14,37 @@ import (
 
 // kindResult is the journal record kind of one cell result.
 const kindResult byte = 1
+
+// canonicalPrefix opens every stored result: PutCell zeroes Index, and
+// Index is CellResult's first JSON field. AppendIndexed swaps it for the
+// serving job's index without decoding the rest.
+const canonicalPrefix = `{"index":0,`
+
+// AppendIndexed appends the canonical stored result canon (as returned by
+// ServeCell or CellBytes) to dst with its Index set to index. The output
+// is byte-identical to json.Marshal of the decoded result with that
+// Index, because canon is itself json.Marshal output (OpenResults drops
+// any record that is not).
+func AppendIndexed(dst, canon []byte, index int) []byte {
+	dst = strconv.AppendInt(append(dst, `{"index":`...), int64(index), 10)
+	return append(append(dst, ','), canon[len(canonicalPrefix):]...)
+}
+
+// canonical reports whether data is a servable result record: it must
+// decode as a CellResult, carry Index 0, and be exactly the bytes
+// json.Marshal produces for the decoded value, so that splicing it raw is
+// indistinguishable from decoding and re-encoding it.
+func canonical(data []byte) bool {
+	if !bytes.HasPrefix(data, []byte(canonicalPrefix)) {
+		return false
+	}
+	var res experiments.CellResult
+	if err := json.Unmarshal(data, &res); err != nil {
+		return false
+	}
+	enc, err := json.Marshal(res)
+	return err == nil && bytes.Equal(enc, data)
+}
 
 // ResultStore is the durable, content-addressed cell-result store: an
 // append-only journal of encoded experiments.CellResult records keyed by
@@ -28,10 +61,15 @@ type ResultStore struct {
 	hits    uint64
 	puts    uint64
 	putErrs uint64
+	invalid int // result records OpenResults skipped as not canonical
 }
 
 // OpenResults opens (or creates) the result journal at path and rebuilds
-// the index from its intact records.
+// the index from its intact records. Each result record is checked once
+// here — it must be a canonical CellResult encoding (see canonical)
+// — because hits are served as the stored bytes without a decode. A
+// record that fails is counted in Stats.Invalid and skipped, so its cell
+// is recomputed (and journaled anew) instead of served.
 func OpenResults(path string, opt JournalOptions) (*ResultStore, error) {
 	j, recs, err := OpenJournal(path, opt)
 	if err != nil {
@@ -42,6 +80,10 @@ func OpenResults(path string, opt JournalOptions) (*ResultStore, error) {
 		if rec.Kind != kindResult {
 			continue
 		}
+		if !canonical(rec.Data) {
+			s.invalid++
+			continue
+		}
 		if _, seen := s.index[rec.Key]; !seen {
 			s.order = append(s.order, rec.Key)
 		}
@@ -50,17 +92,37 @@ func OpenResults(path string, opt JournalOptions) (*ResultStore, error) {
 	return s, nil
 }
 
-// GetCell returns the journaled result for a cell key. The stored bytes
-// decode into exactly the CellResult that was computed (Index zeroed, as
-// EvalCell returns it), so a served result is byte-identical to a
-// recomputed one when re-encoded.
-func (s *ResultStore) GetCell(key string) (experiments.CellResult, bool, error) {
+// ServeCell returns the journaled result for a cell key as its canonical
+// stored bytes (Index 0; see AppendIndexed) and counts a hit. The bytes
+// are shared with the index and must not be modified.
+func (s *ResultStore) ServeCell(key string) ([]byte, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	data, ok := s.index[key]
 	if ok {
 		s.hits++
 	}
-	s.mu.Unlock()
+	return data, ok
+}
+
+// CellBytes returns the canonical stored bytes for key without counting
+// a hit: it is how a caller that just computed (and journaled) a cell
+// picks up the encoding PutCell wrote instead of marshalling again. The
+// bytes are shared with the index and must not be modified.
+func (s *ResultStore) CellBytes(key string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	data, ok := s.index[key]
+	return data, ok
+}
+
+// GetCell returns the journaled result for a cell key, decoded. The
+// stored bytes decode into exactly the CellResult that was computed
+// (Index zeroed, as EvalCell returns it), so a served result is
+// byte-identical to a recomputed one when re-encoded. It counts a hit,
+// as ServeCell does.
+func (s *ResultStore) GetCell(key string) (experiments.CellResult, bool, error) {
+	data, ok := s.ServeCell(key)
 	if !ok {
 		return experiments.CellResult{}, false, nil
 	}
@@ -173,6 +235,10 @@ type Stats struct {
 	Recovered int `json:"recovered"`
 	// TruncatedBytes is how many torn-tail bytes the opening scan dropped.
 	TruncatedBytes int64 `json:"truncatedBytes"`
+	// Invalid is how many intact (CRC-valid) result records the opening
+	// scan skipped because they were not canonical CellResult encodings;
+	// their cells are recomputed rather than served.
+	Invalid int `json:"invalid"`
 	// Hits, Puts, PutErrors count this process's store traffic.
 	Hits      uint64 `json:"hits"`
 	Puts      uint64 `json:"puts"`
@@ -188,6 +254,7 @@ func (s *ResultStore) Stats() Stats {
 		Bytes:          s.j.Bytes(),
 		Recovered:      s.j.Recovered(),
 		TruncatedBytes: s.j.TruncatedBytes(),
+		Invalid:        s.invalid,
 		Hits:           s.hits,
 		Puts:           s.puts,
 		PutErrors:      s.putErrs,

@@ -248,3 +248,111 @@ func TestOpenStoreDir(t *testing.T) {
 		t.Fatalf("pending = %+v", p)
 	}
 }
+
+func TestResultStoreServeCellSplicesIndex(t *testing.T) {
+	path := filepath.Join(t.TempDir(), ResultsFile)
+	s := openTestResults(t, path, JournalOptions{})
+	defer s.Close()
+	res := testResult(2)
+	key := res.Cell.Key()
+	if err := s.PutCell(key, res); err != nil {
+		t.Fatal(err)
+	}
+	canon, ok := s.CellBytes(key)
+	if !ok {
+		t.Fatal("CellBytes missed a put key")
+	}
+	if st := s.Stats(); st.Hits != 0 {
+		t.Fatalf("CellBytes counted %d hits; completion lookups are not served cells", st.Hits)
+	}
+	served, ok := s.ServeCell(key)
+	if !ok || string(served) != string(canon) {
+		t.Fatalf("ServeCell = %q, %v; want the CellBytes encoding", served, ok)
+	}
+	if st := s.Stats(); st.Hits != 1 {
+		t.Fatalf("ServeCell counted %d hits, want 1", st.Hits)
+	}
+	for _, idx := range []int{0, 7, 123456} {
+		res.Index = idx
+		want, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendIndexed(nil, served, idx); string(got) != string(want) {
+			t.Fatalf("index %d spliced:\n  got  %s\n  want %s", idx, got, want)
+		}
+	}
+	if _, ok := s.ServeCell("missing"); ok {
+		t.Fatal("ServeCell hit an unknown key")
+	}
+}
+
+// TestResultStoreSkipsInvalidRecords journals CRC-valid result records
+// that are not canonical CellResult encodings. Hits are served without a
+// decode, so OpenResults must drop them (counting each in Stats.Invalid)
+// and keep the valid records around them.
+func TestResultStoreSkipsInvalidRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), ResultsFile)
+	good := testResult(1)
+	good.Index = 0
+	canon, err := json.Marshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unprefixed := `{"cell":` + string(canon[len(canonicalPrefix)+len(`"cell":`):len(canon)-1]) + `,"index":0}`
+	bad := map[string]string{
+		"not-json":      `{"index":0,not json`,
+		"wrong-type":    `{"index":0,"cell":"gcc"}`,
+		"no-prefix":     unprefixed,
+		"other-index":   `{"index":3,` + string(canon[len(canonicalPrefix):]),
+		"non-canonical": `{"index":0, "relEnergy":0.5}`,
+		"unknown-field": `{"index":0,"extra":1,` + string(canon[len(canonicalPrefix):]),
+	}
+	j, _ := openTestJournal(t, path, JournalOptions{})
+	if err := j.Append(Record{Kind: kindResult, Key: "good", Data: canon}); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"not-json", "wrong-type", "no-prefix", "other-index", "non-canonical", "unknown-field"} {
+		if err := j.Append(Record{Kind: kindResult, Key: k, Data: []byte(bad[k])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A later invalid record for a valid key must not shadow it.
+	if err := j.Append(Record{Kind: kindResult, Key: "good", Data: []byte(bad["not-json"])}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := openTestResults(t, path, JournalOptions{})
+	defer s.Close()
+	st := s.Stats()
+	if st.Invalid != len(bad)+1 || st.Results != 1 || st.Recovered != len(bad)+2 {
+		t.Fatalf("stats = %+v, want %d invalid, 1 result, %d recovered", st, len(bad)+1, len(bad)+2)
+	}
+	for k := range bad {
+		if s.Has(k) {
+			t.Fatalf("invalid record %q indexed", k)
+		}
+	}
+	if got, ok := s.ServeCell("good"); !ok || string(got) != string(canon) {
+		t.Fatalf("valid record = %q, %v", got, ok)
+	}
+	// The skipped cells are recomputed and journaled anew; compaction then
+	// drops the invalid frames for good.
+	if err := s.PutCell("no-prefix", good); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openTestResults(t, path, JournalOptions{})
+	defer s2.Close()
+	if st := s2.Stats(); st.Invalid != 0 || st.Results != 2 {
+		t.Fatalf("after recompute and compaction: stats = %+v, want 0 invalid, 2 results", st)
+	}
+}

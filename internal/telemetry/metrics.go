@@ -19,6 +19,15 @@ var DefBuckets = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
+// FineBuckets extends DefBuckets down to 1µs for the latencies that are
+// routinely shorter than DefBuckets' first 100µs bound — warm closed-form
+// cell evaluations, queue waits on an idle shard, batched journal
+// appends — so their percentiles are read from real buckets instead of
+// being interpolated inside the first one.
+var FineBuckets = append([]float64{
+	0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
+}, DefBuckets...)
+
 // Sample is one collector-produced sample: label values (matching the
 // collector's label names, in order) and the current value.
 type Sample struct {
