@@ -1,13 +1,13 @@
 // Command fusleepd serves sleep-policy design-space sweeps over HTTP: a
-// long-lived fusleep.Engine behind a sharded, bounded job queue. Clients
-// submit policy × technology × FU-count grids, stream per-cell results back
-// as NDJSON while the sweep runs, and identical cells — across requests and
-// across clients — deduplicate through the engine's simulation cache.
+// long-lived fusleep.Engine behind a fleet coordinator's bounded worker
+// queues. Clients submit policy × technology × FU-count grids, stream
+// per-cell results back as NDJSON while the sweep runs, and identical
+// cells — across requests and across clients — are computed once.
 //
 // Usage:
 //
 //	fusleepd -addr :8080
-//	fusleepd -addr :8080 -shards 8 -queue 256 -window 500000 -parallel 4
+//	fusleepd -addr :8080 -shards 8 -queue 128 -window 500000 -parallel 4
 //	fusleepd -addr :8080 -store-dir /var/lib/fusleepd -cell-timeout 30s -max-retries 2
 //	fusleepd -role coordinator -addr :8080 -store-dir /var/lib/fusleepd
 //	fusleepd -role worker -coordinator http://coord:8080 -worker-parallel 4
@@ -16,18 +16,20 @@
 //
 // The daemon runs in one of three roles (-role):
 //
-//   - standalone (default): the single-process daemon — intake, queueing,
-//     and evaluation in one binary. Behavior is identical to releases that
-//     predate the fleet.
+//   - standalone (default): intake, queueing, and evaluation in one
+//     process — a coordinator with -shards in-process workers.
 //   - coordinator: owns job intake, the WAL, and the content-addressed
 //     result store, but evaluates nothing itself. Cells route to registered
 //     workers by rendezvous hashing; a worker that crashes or partitions
 //     has its leased cells requeued to the survivors, and already-reported
 //     cells replay for free from the store.
-//   - worker: a listener-less evaluation process. It dials the coordinator
-//     (-coordinator), registers, long-polls for leased cells, evaluates
-//     them through the same executor the standalone daemon embeds, and
-//     reports the results. Workers may join and leave at any time.
+//   - worker: a listener-less evaluation process running the in-process
+//     workers' loop against a remote coordinator (-coordinator): register,
+//     long-poll for leased cells, evaluate, report. Workers may join and
+//     leave at any time.
+//
+// In both serving roles -queue bounds each worker's queued cells; a full
+// queue blocks dispatch, which surfaces as 429 + Retry-After.
 //
 // With -store-dir the daemon is crash-safe: accepted jobs are fsynced to a
 // write-ahead log before they are acknowledged, completed cells are
@@ -117,8 +119,8 @@ func newLogger(level, format string) (*slog.Logger, error) {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (standalone and coordinator roles)")
 	role := flag.String("role", "standalone", `daemon role: "standalone", "coordinator", or "worker"`)
-	shards := flag.Int("shards", 0, "worker shards (0 = min(GOMAXPROCS, 8); standalone role)")
-	queue := flag.Int("queue", 128, "pending cells per shard")
+	shards := flag.Int("shards", 0, "in-process workers (standalone role; 0 = min(GOMAXPROCS, 8))")
+	queue := flag.Int("queue", 64, "queued cells per worker before dispatch blocks (standalone and coordinator roles)")
 	maxCells := flag.Int("max-cells", 4096, "largest accepted sweep, in cells")
 	window := flag.Uint64("window", 1_000_000, "default instruction window per benchmark")
 	maxWindow := flag.Uint64("max-window", 10_000_000, "largest accepted per-request window")
@@ -132,7 +134,6 @@ func main() {
 	coordURL := flag.String("coordinator", "http://localhost:8080", "coordinator base URL (worker role)")
 	workerName := flag.String("worker-name", "", "worker label sent at registration (worker role; default hostname)")
 	workerTTL := flag.Duration("worker-ttl", 10*time.Second, "heartbeat lease before a silent worker is expired (coordinator role)")
-	fleetQueue := flag.Int("fleet-queue", 64, "queued cells per worker before dispatch blocks (coordinator role)")
 	workerParallel := flag.Int("worker-parallel", 0, "concurrent SimKey-group evaluations (0 = GOMAXPROCS; worker role)")
 	logLevel := flag.String("log-level", "info", "structured log threshold: debug, info, warn, or error")
 	logFormat := flag.String("log-format", "text", `structured log encoding: "text" or "json"`)
@@ -156,11 +157,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	engOpts := []fusleep.Option{
-		fusleep.WithWindow(*window),
-		fusleep.WithParallelism(*parallel),
-		fusleep.WithCache(*cache),
-	}
 	// One registry serves the whole daemon: the server's metrics and the
 	// store's append-latency histogram render in a single /metrics scrape.
 	reg := telemetry.NewRegistry()
@@ -187,14 +183,17 @@ func main() {
 			logger.Warn("store skipped invalid result records; their cells will be recomputed",
 				"dir", *storeDir, "invalid", rs.Invalid)
 		}
-		engOpts = append(engOpts, fusleep.WithResultStore(st.Results))
 	}
 
-	eng := fusleep.NewEngine(engOpts...)
+	// The daemon journals results at one site, the coordinator's result
+	// hook, so the engine gets no store of its own.
 	cfg := server.Config{
-		Engine:      eng,
+		Engine: fusleep.NewEngine(
+			fusleep.WithWindow(*window),
+			fusleep.WithParallelism(*parallel),
+			fusleep.WithCache(*cache),
+		),
 		Shards:      *shards,
-		QueueDepth:  *queue,
 		MaxCells:    *maxCells,
 		MaxWindow:   *maxWindow,
 		CellTimeout: *cellTimeout,
@@ -208,12 +207,10 @@ func main() {
 		cfg.Jobs = st.Jobs
 	}
 	if *role == "coordinator" {
-		cfg.Fleet = fleet.NewCoordinator(fleet.Config{
-			QueueDepth: *fleetQueue,
-			WorkerTTL:  *workerTTL,
-		})
+		cfg.Fleet = fleet.NewCoordinator(fleet.Config{WorkerTTL: *workerTTL})
 	}
 	srv := server.New(cfg)
+	srv.Coordinator().SetQueueDepth(*queue)
 	if replayed, err := srv.Recover(); err != nil {
 		logger.Error("recovery failed", "err", err)
 	} else if replayed > 0 {
@@ -273,7 +270,6 @@ func runWorker(coordinator, name string, window uint64, parallel int, cache bool
 	if workerParallel <= 0 {
 		workerParallel = runtime.GOMAXPROCS(0)
 	}
-	logger = logger.With("worker", name)
 	eng := fusleep.NewEngine(
 		fusleep.WithWindow(window),
 		fusleep.WithParallelism(parallel),
@@ -291,12 +287,11 @@ func runWorker(coordinator, name string, window uint64, parallel int, cache bool
 			},
 		},
 		Parallel: workerParallel,
-		Logf: func(format string, args ...any) {
-			logger.Info(fmt.Sprintf(format, args...))
-		},
+		Logger:   logger,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	logger = logger.With("worker", name)
 	logger.Info("worker dialing coordinator", "coordinator", coordinator, "parallel", workerParallel)
 	if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
 		logger.Error("worker exiting on error", "err", err)

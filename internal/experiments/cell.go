@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -107,7 +106,7 @@ func (c Cell) PolicyLabel() string {
 
 // Key returns a stable identity hash of the cell: two cells with the same
 // simulation configuration and energy-model point hash identically, so
-// queue shards and caches can key on it. The hash covers every field that
+// result stores and caches can key on it. The hash covers every field that
 // affects the result — including the per-class mix, class list, policy
 // assignment, and technology overrides, each serialized in canonical class
 // order.
@@ -129,13 +128,7 @@ func (c Cell) Key() string {
 	b = appendKeyFloat(b, '|', c.Alpha)
 	b = appendKeyInt(b, c.L2Latency)
 	b = strconv.AppendUint(append(b, '|'), c.Window, 10)
-	b = append(b, '|')
-	for i, name := range c.Benchmarks {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, name...)
-	}
+	b = appendKeyBenchmarks(b, c.Benchmarks)
 	b = appendKeyInt(b, c.AGUs)
 	b = appendKeyInt(b, c.Mults)
 	b = appendKeyInt(b, c.FPALUs)
@@ -158,6 +151,19 @@ func (c Cell) Key() string {
 // appendKeyInt appends "|n" to a key text.
 func appendKeyInt(b []byte, n int) []byte {
 	return strconv.AppendInt(append(b, '|'), int64(n), 10)
+}
+
+// appendKeyBenchmarks appends "|" and the comma-joined program names to a
+// key text.
+func appendKeyBenchmarks(b []byte, names []string) []byte {
+	b = append(b, '|')
+	for i, name := range names {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, name...)
+	}
+	return b
 }
 
 // appendKeyFloat appends sep and v in %.17g form to a key text.
@@ -205,15 +211,20 @@ func hexKey(h uint64) string {
 // with equal SimKeys need exactly the same simulations and differ only in
 // the closed-form energy evaluation (policy, technology point, alpha,
 // studied classes, assignment), so EvalCells groups on it and the sweep
-// service routes variants of one machine to one shard. It covers a strict
+// service routes variants of one machine to one worker. It covers a strict
 // subset of Key's fields; Key itself — the full result identity — is
 // unchanged.
 func (c Cell) SimKey() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d|%d|%s",
-		c.FUs, c.AGUs, c.Mults, c.FPALUs, c.FPMults, c.L2Latency, c.Window,
-		strings.Join(c.Benchmarks, ","))
-	return fmt.Sprintf("%016x", h.Sum64())
+	var stack [128]byte
+	b := strconv.AppendInt(stack[:0], int64(c.FUs), 10)
+	b = appendKeyInt(b, c.AGUs)
+	b = appendKeyInt(b, c.Mults)
+	b = appendKeyInt(b, c.FPALUs)
+	b = appendKeyInt(b, c.FPMults)
+	b = appendKeyInt(b, c.L2Latency)
+	b = strconv.AppendUint(append(b, '|'), c.Window, 10)
+	b = appendKeyBenchmarks(b, c.Benchmarks)
+	return hexKey(fnv64a(b))
 }
 
 // sortedClassKeys returns the map's classes in canonical order.

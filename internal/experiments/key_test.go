@@ -122,3 +122,37 @@ func BenchmarkCellKey(b *testing.B) {
 		_ = c.Key()
 	}
 }
+
+// simKeyOracle is the original fmt-based Cell.SimKey; SimKey must produce
+// exactly these bytes, which FuzzCellSimKey holds it to.
+func simKeyOracle(c Cell) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d|%d|%s",
+		c.FUs, c.AGUs, c.Mults, c.FPALUs, c.FPMults, c.L2Latency, c.Window,
+		strings.Join(c.Benchmarks, ","))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// FuzzCellSimKey asserts the strconv-built SimKey equals the fmt oracle
+// on any cell, negative and extreme counts and windows included.
+func FuzzCellSimKey(f *testing.F) {
+	f.Add(4, 0, 0, 0, 0, 12, uint64(100000), "gcc")
+	f.Add(-3, 2, 1, -7, 5, -1, uint64(0), "")
+	f.Add(math.MaxInt, math.MinInt, 7, 1, 2, 0, uint64(math.MaxUint64), "gcc,mcf,vpr,twolf,parser,gzip,bzip2,vortex,crafty")
+	f.Fuzz(func(t *testing.T, fus, agus, mults, fpalus, fpmults, l2 int, window uint64, benches string) {
+		c := Cell{FUs: fus, AGUs: agus, Mults: mults, FPALUs: fpalus, FPMults: fpmults,
+			L2Latency: l2, Window: window, Benchmarks: strings.Split(benches, ",")}
+		if got, want := c.SimKey(), simKeyOracle(c); got != want {
+			t.Fatalf("SimKey() = %s, fmt oracle = %s for %+v", got, want, c)
+		}
+	})
+}
+
+// TestCellSimKeyAllocs pins SimKey to a single allocation (the returned
+// string).
+func TestCellSimKeyAllocs(t *testing.T) {
+	c := Grid{Benchmarks: []string{"gcc", "mcf", "vpr"}}.Cells(core.DefaultTech())[0]
+	if allocs := testing.AllocsPerRun(100, func() { _ = c.SimKey() }); allocs > 1 {
+		t.Fatalf("SimKey allocates %.0f times per call, want 1", allocs)
+	}
+}

@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -77,6 +79,7 @@ type member struct {
 	id       string
 	name     string
 	deadline time.Time
+	local    bool                   // in-process (StartLocal): its leases carry an abort context
 	queue    []*group               // dispatched, not yet fetched, oldest first
 	groups   map[string]*group      // queue's groups by SimKey
 	queued   int                    // cells across queue
@@ -99,6 +102,25 @@ type assignment struct {
 	tasks  []Task
 	lease  uint64 // nonzero while fetched
 	trace  string // job trace id from the first task, "" when tracing is off
+
+	// While leased to an in-process worker: the lease context
+	// (LeaseCell.ctx), its cancel, and the per-task watches that cancel it
+	// once every task is canceled.
+	ctx   context.Context
+	abort context.CancelFunc
+	stops []func() bool
+}
+
+// release ends a's lease context and its task watches when the lease
+// settles or is requeued. Callers hold c.mu.
+func (a *assignment) release() {
+	for _, stop := range a.stops {
+		stop()
+	}
+	if a.abort != nil {
+		a.abort()
+	}
+	a.ctx, a.abort, a.stops = nil, nil, nil
 }
 
 // group is the queued assignments on one member that share a SimKey, in
@@ -130,6 +152,26 @@ func (m *member) pop() *group {
 	delete(m.groups, g.simKey)
 	m.queued -= len(g.cells)
 	return g
+}
+
+// watchLocked aborts leased a once t and every other task waiting on it
+// are canceled. Callers hold c.mu.
+func (c *Coordinator) watchLocked(a *assignment, t Task) {
+	a.stops = append(a.stops, context.AfterFunc(t.Ctx, func() {
+		c.mu.Lock()
+		if a.ctx != nil && a.canceled() {
+			a.abort()
+		}
+		c.mu.Unlock()
+	}))
+}
+
+// dropLocked removes a from the duplicate-join index unless a newer
+// assignment took its key. Callers hold c.mu.
+func (c *Coordinator) dropLocked(a *assignment) {
+	if c.byKey[a.key] == a {
+		delete(c.byKey, a.key)
+	}
 }
 
 // canceled reports whether every waiting task has been canceled, making
@@ -199,19 +241,21 @@ func (c *Coordinator) SetOnResult(fn func(key string, res fusleep.CellResult)) {
 	c.mu.Unlock()
 }
 
-// SetTrace arms the cell-lifecycle trace recorder; the server injects its
-// recorder here after New. Set it before dispatching.
-func (c *Coordinator) SetTrace(rec *telemetry.Recorder) {
+// SetObservers injects the server's trace recorder and logger. Call it
+// before any worker registers or any cell is dispatched.
+func (c *Coordinator) SetObservers(trace *telemetry.Recorder, logger *slog.Logger) {
 	c.mu.Lock()
-	c.cfg.Trace = rec
+	c.cfg.Trace, c.cfg.Logger = trace, logger
 	c.mu.Unlock()
 }
 
-// SetLogger replaces the coordinator's structured logger; the server
-// injects its logger here after New.
-func (c *Coordinator) SetLogger(l *slog.Logger) {
+// SetQueueDepth replaces Config.QueueDepth (n <= 0 restores the default).
+// Safe while workers are serving: Dispatch reads the bound under c.mu,
+// and blocked dispatchers re-check it.
+func (c *Coordinator) SetQueueDepth(n int) {
 	c.mu.Lock()
-	c.cfg.Logger = l
+	c.cfg.QueueDepth = Config{QueueDepth: n}.withDefaults().QueueDepth
+	c.spaceLocked()
 	c.mu.Unlock()
 }
 
@@ -220,10 +264,7 @@ var discardLogger = slog.New(slog.NewTextHandler(io.Discard, nil))
 
 // logger resolves the configured logger.
 func (c *Coordinator) logger() *slog.Logger {
-	if c.cfg.Logger != nil {
-		return c.cfg.Logger
-	}
-	return discardLogger
+	return cmp.Or(c.cfg.Logger, discardLogger)
 }
 
 // now resolves the injectable clock.
@@ -264,11 +305,16 @@ func (c *Coordinator) pickLocked(simKey string) *member {
 // rendezvous pick is now the new worker move over whole, and orphaned
 // work is re-routed. Returns the assigned worker ID and the heartbeat TTL.
 func (c *Coordinator) Register(name string) (string, time.Duration) {
+	return c.register(name, false)
+}
+
+// register is Register, marking in-process workers local.
+func (c *Coordinator) register(name string, local bool) (string, time.Duration) {
 	c.mu.Lock()
 	c.seq++
 	id := fmt.Sprintf("w-%06d", c.seq)
 	m := &member{
-		id: id, name: name,
+		id: id, name: name, local: local,
 		deadline: c.now().Add(c.cfg.WorkerTTL),
 		groups:   make(map[string]*group),
 		leased:   make(map[uint64]*assignment),
@@ -377,6 +423,7 @@ func (c *Coordinator) removeLocked(m *member, reason string) {
 	woken := map[*member]bool{}
 	for _, a := range orphans {
 		a.lease = 0
+		a.release()
 		// Requeue ignores QueueDepth on purpose: survivor queues may
 		// transiently overshoot, but a dead worker's cells must land
 		// somewhere without blocking inside the lock.
@@ -435,14 +482,20 @@ func (c *Coordinator) Expire() {
 // already holds its simulation. It blocks while the target queue is full
 // — the fleet's backpressure — and returns the task's context error if
 // it is canceled while waiting. With no live workers the task parks on
-// the orphan list and is routed when a worker registers.
+// the orphan list and is routed when a worker registers. An in-process
+// lease aborted because all its tasks were canceled is not joined; the
+// new task gets a fresh assignment. A remote lease is always joined: its
+// worker finishes the cell regardless.
 func (c *Coordinator) Dispatch(t Task) error {
 	key, simKey := t.Cell.Key(), t.Cell.SimKey()
 	for {
 		c.mu.Lock()
 		c.expireLocked(c.now())
-		if a, ok := c.byKey[key]; ok {
+		if a, ok := c.byKey[key]; ok && (a.ctx == nil || a.ctx.Err() == nil) {
 			a.tasks = append(a.tasks, t)
+			if a.ctx != nil {
+				c.watchLocked(a, t)
+			}
 			c.stats.Joins++
 			c.mu.Unlock()
 			return nil
@@ -505,13 +558,21 @@ func (c *Coordinator) Fetch(ctx context.Context, id string, max int, wait time.D
 		canceled := c.pruneQueueLocked(m)
 		var out []LeaseCell
 		for n := 0; n < max && len(m.queue) > 0; n++ {
-			for _, a := range m.pop().cells {
+			g := m.pop()
+			out = slices.Grow(out, len(g.cells))
+			for _, a := range g.cells {
 				c.leaseSeq++
 				a.lease = c.leaseSeq
 				m.leased[a.lease] = a
+				if m.local {
+					a.ctx, a.abort = context.WithCancel(context.Background()) //fusleepvet:ctx-ok the lease outlives the fetch; its tasks' contexts cancel it
+					for _, t := range a.tasks {
+						c.watchLocked(a, t)
+					}
+				}
 				out = append(out, LeaseCell{
 					Lease: a.lease, Key: a.key, Cell: a.cell,
-					TraceID: a.trace, ParentSpan: a.lease,
+					TraceID: a.trace, ParentSpan: a.lease, ctx: a.ctx,
 				})
 				if a.trace != "" {
 					c.cfg.Trace.Record(a.trace, telemetry.Event{
@@ -557,7 +618,7 @@ func (c *Coordinator) pruneQueueLocked(m *member) []*assignment {
 		kept := g.cells[:0]
 		for _, a := range g.cells {
 			if a.canceled() {
-				delete(c.byKey, a.key)
+				c.dropLocked(a)
 				gone = append(gone, a)
 			} else {
 				kept = append(kept, a)
@@ -602,7 +663,7 @@ func (c *Coordinator) Report(id string, results []CellReport) (accepted int, err
 		return 0, ErrUnknownWorker
 	}
 	m.deadline = c.now().Add(c.cfg.WorkerTTL)
-	var fans []fan
+	fans := make([]fan, 0, len(results))
 	for _, r := range results {
 		a, ok := m.leased[r.Lease]
 		if !ok {
@@ -610,7 +671,11 @@ func (c *Coordinator) Report(id string, results []CellReport) (accepted int, err
 			continue
 		}
 		delete(m.leased, r.Lease)
-		delete(c.byKey, a.key)
+		c.dropLocked(a)
+		// An aborted in-process cell failed because nobody waits for it any
+		// more; it settles as canceled, not as a fleet failure.
+		aborted := a.ctx != nil && a.ctx.Err() != nil
+		a.release()
 		accepted++
 		if a.trace != "" {
 			// Splice the worker-measured attempt spans in first (explicit
@@ -629,8 +694,10 @@ func (c *Coordinator) Report(id string, results []CellReport) (accepted int, err
 			c.cfg.Trace.Record(a.trace, ev)
 		}
 		if r.Error != nil {
-			m.failed++
-			c.stats.Failed++
+			if !aborted {
+				m.failed++
+				c.stats.Failed++
+			}
 			fans = append(fans, fan{a: a, err: r.Error.Err()})
 		} else {
 			m.done++
@@ -667,6 +734,46 @@ func (c *Coordinator) Report(id string, results []CellReport) (accepted int, err
 	return accepted, nil
 }
 
+// WireRegister is Register on wire types, behind /v1/fleet/register.
+func (c *Coordinator) WireRegister(_ context.Context, req RegisterRequest) (RegisterResponse, error) {
+	if err := checkVersion(req.V); err != nil {
+		return RegisterResponse{}, err
+	}
+	id, ttl := c.Register(req.Name)
+	return RegisterResponse{V: ProtocolVersion, ID: id, TTLMillis: ttl.Milliseconds()}, nil
+}
+
+// WireHeartbeat renews a worker's lease, or with Bye deregisters it.
+func (c *Coordinator) WireHeartbeat(_ context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
+	err := checkVersion(req.V)
+	switch {
+	case err != nil:
+	case req.Bye:
+		err = c.Deregister(req.ID)
+	default:
+		err = c.Heartbeat(req.ID, req.Stats)
+	}
+	return HeartbeatResponse{V: ProtocolVersion, OK: err == nil}, err
+}
+
+// WireFetch is Fetch on wire types; ctx bounds the long poll.
+func (c *Coordinator) WireFetch(ctx context.Context, req FetchRequest) (FetchResponse, error) {
+	if err := checkVersion(req.V); err != nil {
+		return FetchResponse{}, err
+	}
+	cells, err := c.Fetch(ctx, req.ID, req.Max, time.Duration(req.WaitMillis)*time.Millisecond)
+	return FetchResponse{V: ProtocolVersion, Cells: cells}, err
+}
+
+// WireReport is Report on wire types.
+func (c *Coordinator) WireReport(_ context.Context, req ReportRequest) (ReportResponse, error) {
+	if err := checkVersion(req.V); err != nil {
+		return ReportResponse{}, err
+	}
+	accepted, err := c.Report(req.ID, req.Results)
+	return ReportResponse{V: ProtocolVersion, Accepted: accepted}, err
+}
+
 // Quiesce blocks until no assignments remain — queued, leased, or
 // orphaned — expiring dead workers and pruning fully canceled work as it
 // polls. The server's drain calls it after the feeders stop, mirroring
@@ -679,20 +786,24 @@ func (c *Coordinator) Quiesce(ctx context.Context, poll time.Duration) error {
 		c.mu.Lock()
 		c.expireLocked(c.now())
 		var gone []*assignment
+		leased := 0
 		for _, m := range c.workers {
 			gone = append(gone, c.pruneQueueLocked(m)...)
+			leased += len(m.leased)
 		}
 		kept := c.orphans[:0]
 		for _, a := range c.orphans {
 			if a.canceled() {
-				delete(c.byKey, a.key)
+				c.dropLocked(a)
 				gone = append(gone, a)
 			} else {
 				kept = append(kept, a)
 			}
 		}
 		c.orphans = kept
-		empty := len(c.byKey) == 0
+		// An aborted lease may have left byKey but still owes its tasks a
+		// settlement.
+		empty := len(c.byKey) == 0 && leased == 0
 		if len(gone) > 0 {
 			c.spaceLocked()
 		}

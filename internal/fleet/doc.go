@@ -1,7 +1,9 @@
-// Package fleet turns fusleepd into a coordinator/worker fleet: one
-// coordinator owns job intake, the job WAL, and the content-addressed
-// result store, while N workers — remote processes that dial the
-// coordinator over a versioned JSON wire protocol — execute the cells.
+// Package fleet is fusleepd's one execution path: a coordinator that owns
+// routing, per-worker queues, and leases, and workers that pull leased
+// cells from it and execute them. In the coordinator role the workers are
+// remote processes dialing over a versioned JSON wire protocol; a
+// standalone daemon runs them in-process (StartLocal), calling the
+// coordinator's same wire entry points directly.
 //
 // # Routing
 //
@@ -42,9 +44,9 @@
 //
 // # Roles
 //
-// The same evaluation path — Executor: fault injection, panic containment,
-// per-cell deadline, bounded deterministically jittered retry — backs both
-// the embedded single-process daemon (-role=standalone) and remote workers
-// (-role=worker), so a fleet computes byte-identical results to a
-// standalone run of the same grid.
+// In-process and remote workers run the same loop and the same Executor
+// (fault injection, panic containment, per-cell deadline, bounded
+// deterministically jittered retry), so a fleet computes byte-identical
+// results to a standalone run. Only an in-process lease is aborted once
+// every task waiting on its cell is canceled.
 package fleet

@@ -77,10 +77,9 @@ func SleepCtx(ctx context.Context, d time.Duration) error {
 
 // Executor is the role-agnostic cell evaluation path: fault injection,
 // panic containment, the optional per-cell deadline, and bounded retry
-// with deterministically jittered backoff. The standalone daemon's
-// embedded shard workers and remote fleet workers run the exact same
-// Executor, which is what makes a fleet's results byte-identical to a
-// standalone run.
+// with deterministically jittered backoff. In-process and remote fleet
+// workers run the exact same Executor, which is what makes a fleet's
+// results byte-identical to a standalone run.
 type Executor struct {
 	// Engine executes the cells. Required.
 	Engine *fusleep.Engine
@@ -100,8 +99,7 @@ type Executor struct {
 	// slept (metrics and tracing).
 	OnRetry func(key string, attempt int, delay time.Duration)
 	// OnAttempt, when set, observes every finished evaluation attempt:
-	// the cell key, attempt number, measured duration, and outcome. The
-	// standalone server feeds latency histograms through it; fleet
+	// the cell key, attempt number, measured duration, and outcome. Fleet
 	// workers collect the spans it sees into their reports.
 	OnAttempt func(key string, attempt int, seconds float64, err error)
 }

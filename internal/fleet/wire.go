@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -27,6 +28,17 @@ const (
 	CodeVersion       = "version_mismatch"
 	CodeUnknownWorker = "unknown_worker"
 )
+
+// ErrVersion rejects a wire request that speaks another ProtocolVersion.
+var ErrVersion = errors.New("fleet protocol version mismatch")
+
+// checkVersion vets a wire request's protocol version.
+func checkVersion(v int) error {
+	if v != ProtocolVersion {
+		return fmt.Errorf("%w: got %d, this coordinator speaks %d", ErrVersion, v, ProtocolVersion)
+	}
+	return nil
+}
 
 // APIError is the canonical JSON error envelope every fusleepd endpoint
 // returns: {"error": {"code": "...", "message": "..."}}.
@@ -127,6 +139,10 @@ type LeaseCell struct {
 	// ParentSpan links worker-side spans back to the coordinator-side
 	// lease; fusleepd sets it to the lease token.
 	ParentSpan uint64 `json:"parentSpan,omitempty"`
+
+	// ctx is an in-process lease's context, canceled once every waiting
+	// task is; JSON does not carry it, so remote leases leave it nil.
+	ctx context.Context
 }
 
 // ReportRequest returns evaluation outcomes for previously fetched cells.

@@ -2,21 +2,24 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Worker is the remote side of the fleet: it dials the coordinator's
-// /v1/fleet endpoints (register → heartbeat → fetch → report), evaluates
-// leased SimKey groups through the same Executor the standalone daemon
-// embeds, and reports each group's outcomes in one call. The coordinator
-// never dials back, so workers need no listener and work from behind NAT.
+// Worker is the executing side of the fleet (register → heartbeat → fetch
+// → report): it evaluates leased SimKey groups through its Executor and
+// reports each group's outcomes in one call. Run dials a remote
+// coordinator's /v1/fleet endpoints; StartLocal runs the same loop
+// in-process. The coordinator never dials back, so remote workers need no
+// listener and work from behind NAT.
 type Worker struct {
 	// Coordinator is the coordinator's base URL, e.g. "http://host:8080".
 	Coordinator string
@@ -40,9 +43,14 @@ type Worker struct {
 	// HeartbeatEvery overrides the heartbeat cadence (default: a third of
 	// the TTL the coordinator granted).
 	HeartbeatEvery time.Duration
-	// Logf, when set, receives progress lines (registration, requeues,
-	// transport errors).
-	Logf func(format string, args ...any)
+	// Logger receives the worker's structured records, each with a worker
+	// attribute naming it. Nil discards.
+	Logger *slog.Logger
+
+	// tr carries the wire calls: loopback for in-process workers, HTTP to
+	// Coordinator otherwise.
+	tr  transport
+	log *slog.Logger
 
 	// Self-reported telemetry, carried on heartbeats.
 	inflight   atomic.Int64
@@ -55,6 +63,97 @@ type Worker struct {
 	// in-flight assignment), so a key's spans belong to exactly one lease.
 	spanMu sync.Mutex
 	spans  map[string][]WireSpan
+}
+
+// transport carries a worker's wire calls: loopback (direct calls into
+// the coordinator, no HTTP, no JSON) for in-process workers, and
+// httpTransport for remote ones.
+type transport interface {
+	WireRegister(ctx context.Context, req RegisterRequest) (RegisterResponse, error)
+	WireHeartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error)
+	WireFetch(ctx context.Context, req FetchRequest) (FetchResponse, error)
+	WireReport(ctx context.Context, req ReportRequest) (ReportResponse, error)
+}
+
+// loopback is an in-process worker's transport: the coordinator's own
+// wire entry points, registering the worker as local.
+type loopback struct{ *Coordinator }
+
+func (l loopback) WireRegister(_ context.Context, req RegisterRequest) (RegisterResponse, error) {
+	id, ttl := l.register(req.Name, true)
+	return RegisterResponse{V: ProtocolVersion, ID: id, TTLMillis: ttl.Milliseconds()}, nil
+}
+
+// httpTransport is a remote worker's transport: JSON POSTs to the
+// coordinator's /v1/fleet endpoints.
+type httpTransport struct {
+	base   string
+	client *http.Client
+}
+
+func (h httpTransport) WireRegister(ctx context.Context, q RegisterRequest) (r RegisterResponse, err error) {
+	return r, h.post(ctx, "/v1/fleet/register", q, &r)
+}
+func (h httpTransport) WireHeartbeat(ctx context.Context, q HeartbeatRequest) (r HeartbeatResponse, err error) {
+	return r, h.post(ctx, "/v1/fleet/heartbeat", q, &r)
+}
+func (h httpTransport) WireFetch(ctx context.Context, q FetchRequest) (r FetchResponse, err error) {
+	return r, h.post(ctx, "/v1/fleet/fetch", q, &r)
+}
+func (h httpTransport) WireReport(ctx context.Context, q ReportRequest) (r ReportResponse, err error) {
+	return r, h.post(ctx, "/v1/fleet/report", q, &r)
+}
+
+// post sends one wire request and decodes the response, translating the
+// coordinator's error envelope into typed errors.
+func (h httpTransport) post(ctx context.Context, path string, req, resp any) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+path, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	hr.Header.Set("Content-Type", "application/json")
+	res, err := h.client.Do(hr)
+	if err != nil {
+		return err
+	}
+	defer res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		var env APIError
+		_ = json.NewDecoder(res.Body).Decode(&env)
+		if env.Error.Code == CodeUnknownWorker {
+			return ErrUnknownWorker
+		}
+		if env.Error.Message != "" {
+			return fmt.Errorf("%s: %s: %s", path, res.Status, env.Error.Message)
+		}
+		return fmt.Errorf("%s: %s", path, res.Status)
+	}
+	return json.NewDecoder(res.Body).Decode(resp)
+}
+
+// StartLocal registers n in-process workers on c, each at Parallel 1 over
+// the loopback transport with its own copy of exec (a worker taps its
+// executor's attempt hook), and serves them until the returned stop is
+// called; stop returns once every one has exited.
+func (c *Coordinator) StartLocal(n int, exec Executor, logger *slog.Logger) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background()) //fusleepvet:ctx-ok in-process workers live until stopped
+	var wg sync.WaitGroup
+	for i := range n {
+		x := exec
+		w := &Worker{Name: fmt.Sprintf("local-%d", i), Exec: &x, Logger: logger, tr: loopback{c}}
+		w.start()
+		reg := w.register(ctx)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.loop(ctx, reg)
+		}()
+	}
+	return func() { cancel(); wg.Wait() }
 }
 
 // stats snapshots the worker's self-reported telemetry for a heartbeat.
@@ -75,50 +174,6 @@ func (w *Worker) takeSpans(key string) []WireSpan {
 	return sp
 }
 
-func (w *Worker) logf(format string, args ...any) {
-	if w.Logf != nil {
-		w.Logf(format, args...)
-	}
-}
-
-func (w *Worker) client() *http.Client {
-	if w.Client != nil {
-		return w.Client
-	}
-	return http.DefaultClient
-}
-
-// post sends one wire request and decodes the response, translating the
-// coordinator's error envelope into typed errors.
-func (w *Worker) post(ctx context.Context, path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	res, err := w.client().Do(hr)
-	if err != nil {
-		return err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		var env APIError
-		_ = json.NewDecoder(res.Body).Decode(&env)
-		if env.Error.Code == CodeUnknownWorker {
-			return ErrUnknownWorker
-		}
-		if env.Error.Message != "" {
-			return fmt.Errorf("%s: %s: %s", path, res.Status, env.Error.Message)
-		}
-		return fmt.Errorf("%s: %s", path, res.Status)
-	}
-	return json.NewDecoder(res.Body).Decode(resp)
-}
-
 // Run registers with the coordinator and serves fetched cells until ctx
 // is canceled, re-registering whenever the coordinator has expired this
 // worker (after a network partition outlasting the heartbeat TTL). On a
@@ -127,9 +182,17 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.Exec == nil || w.Exec.Engine == nil {
 		return errors.New("fleet worker: Exec with an Engine is required")
 	}
-	// Tap the executor's attempt hook: every finished attempt becomes a
-	// wire span attached to the cell's report, and feeds the worker's
-	// heartbeat-reported counters.
+	w.tr = httpTransport{base: w.Coordinator, client: cmp.Or(w.Client, http.DefaultClient)}
+	w.start()
+	w.loop(ctx, w.register(ctx))
+	return ctx.Err()
+}
+
+// start resolves the logger and taps the executor's attempt hook: every
+// finished attempt becomes a wire span attached to the cell's report, and
+// feeds the worker's heartbeat-reported counters.
+func (w *Worker) start() {
+	w.log = cmp.Or(w.Logger, discardLogger).With("worker", w.Name)
 	prev := w.Exec.OnAttempt
 	w.Exec.OnAttempt = func(key string, attempt int, seconds float64, err error) {
 		if prev != nil {
@@ -138,7 +201,11 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.evaluated.Add(1)
 		sp := WireSpan{Stage: "evaluated", Attempt: attempt, Seconds: seconds}
 		if err != nil {
-			w.evalFailed.Add(1)
+			// A canceled attempt (an abandoned in-process lease, or
+			// shutdown) is no evaluation failure.
+			if !errors.Is(err, context.Canceled) {
+				w.evalFailed.Add(1)
+			}
 			sp.Error = err.Error()
 		}
 		w.spanMu.Lock()
@@ -148,30 +215,38 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.spans[key] = append(w.spans[key], sp)
 		w.spanMu.Unlock()
 	}
+}
+
+// loop serves one registration after another, starting with reg, until
+// ctx ends: serve returning while ctx is live means the coordinator forgot
+// the worker, which then registers again.
+func (w *Worker) loop(ctx context.Context, reg RegisterResponse) {
+	for reg.ID != "" {
+		w.serve(ctx, reg.ID, time.Duration(reg.TTLMillis)*time.Millisecond)
+		reg = w.register(ctx)
+	}
+}
+
+// register announces the worker, retrying with backoff; it returns the
+// zero response once ctx ends.
+func (w *Worker) register(ctx context.Context) RegisterResponse {
 	backoff := 100 * time.Millisecond
 	for ctx.Err() == nil {
-		var reg RegisterResponse
-		err := w.post(ctx, "/v1/fleet/register", RegisterRequest{V: ProtocolVersion, Name: w.Name}, &reg)
-		if err != nil {
-			if ctx.Err() != nil {
-				break
-			}
-			w.logf("fleet worker: register: %v (retrying in %v)", err, backoff)
-			if SleepCtx(ctx, backoff) != nil {
-				break
-			}
-			if backoff *= 2; backoff > 5*time.Second {
-				backoff = 5 * time.Second
-			}
-			continue
+		reg, err := w.tr.WireRegister(ctx, RegisterRequest{V: ProtocolVersion, Name: w.Name})
+		if err == nil {
+			w.log.Info("fleet worker joined", "id", reg.ID, "ttl", time.Duration(reg.TTLMillis)*time.Millisecond)
+			return reg
 		}
-		backoff = 100 * time.Millisecond
-		w.logf("fleet worker: registered as %s (ttl %v)", reg.ID, time.Duration(reg.TTLMillis)*time.Millisecond)
-		w.serve(ctx, reg.ID, time.Duration(reg.TTLMillis)*time.Millisecond)
-		// serve returns on cancellation or when the coordinator forgot us;
-		// the loop re-registers in the latter case.
+		if ctx.Err() != nil {
+			break
+		}
+		w.log.Warn("fleet worker register failed", "err", err, "retry", backoff)
+		if SleepCtx(ctx, backoff) != nil {
+			break
+		}
+		backoff = min(2*backoff, 5*time.Second)
 	}
-	return ctx.Err()
+	return RegisterResponse{}
 }
 
 // serve is one registration's lifetime: a heartbeat goroutine plus the
@@ -198,15 +273,13 @@ func (w *Worker) serve(ctx context.Context, id string, ttl time.Duration) {
 				return
 			case <-t.C:
 			}
-			var resp HeartbeatResponse
-			err := w.post(hbCtx, "/v1/fleet/heartbeat",
-				HeartbeatRequest{V: ProtocolVersion, ID: id, Stats: w.stats()}, &resp)
+			_, err := w.tr.WireHeartbeat(hbCtx, HeartbeatRequest{V: ProtocolVersion, ID: id, Stats: w.stats()})
 			if errors.Is(err, ErrUnknownWorker) {
 				close(stale)
 				return
 			}
 			if err != nil && hbCtx.Err() == nil {
-				w.logf("fleet worker %s: heartbeat: %v", id, err)
+				w.log.Warn("fleet worker heartbeat failed", "id", id, "err", err)
 			}
 		}
 	}()
@@ -237,24 +310,20 @@ func (w *Worker) serve(ctx context.Context, id string, ttl time.Duration) {
 			return
 		default:
 		}
-		var fetched FetchResponse
-		err := w.post(ctx, "/v1/fleet/fetch",
-			FetchRequest{V: ProtocolVersion, ID: id, Max: batch, WaitMillis: wait.Milliseconds()}, &fetched)
+		fetched, err := w.tr.WireFetch(ctx, FetchRequest{V: ProtocolVersion, ID: id, Max: batch, WaitMillis: wait.Milliseconds()})
 		if errors.Is(err, ErrUnknownWorker) {
-			w.logf("fleet worker %s: expired by coordinator; re-registering", id)
+			w.log.Warn("fleet worker expired by coordinator; re-registering", "id", id)
 			return
 		}
 		if err != nil {
 			if ctx.Err() != nil {
 				return
 			}
-			w.logf("fleet worker %s: fetch: %v (retrying in %v)", id, err, backoff)
+			w.log.Warn("fleet worker fetch failed", "id", id, "err", err, "retry", backoff)
 			if SleepCtx(ctx, backoff) != nil {
 				return
 			}
-			if backoff *= 2; backoff > 5*time.Second {
-				backoff = 5 * time.Second
-			}
+			backoff = min(2*backoff, 5*time.Second)
 			continue
 		}
 		backoff = 100 * time.Millisecond
@@ -314,11 +383,18 @@ func (w *Worker) runGroups(ctx context.Context, id string, groups [][]LeaseCell,
 }
 
 // evaluate runs one group's cells through the Executor in lease order.
+// A loopback lease carries its own context, canceled once every task
+// waiting on the cell is, so an abandoned in-process evaluation stops
+// promptly; a remote worker's cells run under its own context.
 func (w *Worker) evaluate(ctx context.Context, cells []LeaseCell) []CellReport {
 	reports := make([]CellReport, len(cells))
 	for i, lc := range cells {
+		cellCtx := ctx
+		if lc.ctx != nil {
+			cellCtx = lc.ctx
+		}
 		w.inflight.Add(1)
-		res, err := w.Exec.EvalCell(ctx, lc.Cell)
+		res, err := w.Exec.EvalCell(cellCtx, lc.Cell)
 		w.inflight.Add(-1)
 		r := CellReport{Lease: lc.Lease, Key: lc.Key, Trace: w.takeSpans(lc.Key)}
 		if err != nil {
@@ -337,24 +413,22 @@ func (w *Worker) evaluate(ctx context.Context, cells []LeaseCell) []CellReport {
 func (w *Worker) report(ctx context.Context, id string, reports []CellReport) bool {
 	backoff := 100 * time.Millisecond
 	for attempt := 0; ; attempt++ {
-		var resp ReportResponse
-		err := w.post(ctx, "/v1/fleet/report", ReportRequest{V: ProtocolVersion, ID: id, Results: reports}, &resp)
+		resp, err := w.tr.WireReport(ctx, ReportRequest{V: ProtocolVersion, ID: id, Results: reports})
 		if err == nil {
 			if resp.Accepted < len(reports) {
-				w.logf("fleet worker %s: %d/%d reports were stale (leases requeued)", id, len(reports)-resp.Accepted, len(reports))
+				w.log.Info("fleet worker reports were stale (leases requeued)", "id", id,
+					"stale", len(reports)-resp.Accepted, "reports", len(reports))
 			}
 			return true
 		}
 		if errors.Is(err, ErrUnknownWorker) || ctx.Err() != nil || attempt >= 4 {
 			return false
 		}
-		w.logf("fleet worker %s: report: %v (retrying in %v)", id, err, backoff)
+		w.log.Warn("fleet worker report failed", "id", id, "err", err, "retry", backoff)
 		if SleepCtx(ctx, backoff) != nil {
 			return false
 		}
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
-		}
+		backoff = min(2*backoff, 2*time.Second)
 	}
 }
 
@@ -364,6 +438,5 @@ func (w *Worker) report(ctx context.Context, id string, reports []CellReport) bo
 func (w *Worker) bye(id string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second) //fusleepvet:ctx-ok shutdown path; the run context is already canceled
 	defer cancel()
-	var resp HeartbeatResponse
-	_ = w.post(ctx, "/v1/fleet/heartbeat", HeartbeatRequest{V: ProtocolVersion, ID: id, Bye: true}, &resp)
+	_, _ = w.tr.WireHeartbeat(ctx, HeartbeatRequest{V: ProtocolVersion, ID: id, Bye: true})
 }

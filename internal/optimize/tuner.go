@@ -15,8 +15,8 @@ import (
 
 // Evaluator scores one candidate cell. The engine supplies its cached cell
 // runner (experiments.EvalCell through the shared simulation cache); the
-// sweep service supplies an evaluator that routes through its sharded job
-// queue. Evaluators must be deterministic for the tuner to be.
+// sweep service supplies an evaluator that routes through its cell
+// dispatch path. Evaluators must be deterministic for the tuner to be.
 type Evaluator func(ctx context.Context, c experiments.Cell) (experiments.CellResult, error)
 
 // BatchEvaluator scores one round's candidate cells in a single call,

@@ -303,7 +303,7 @@ func TestLoadShedAndReadyz(t *testing.T) {
 // send on a closed channel) and all return.
 func TestCloseDuringDrainNoDoubleClose(t *testing.T) {
 	eng := fusleep.NewEngine(fusleep.WithWindow(testWindow))
-	s := New(Config{Engine: eng, Shards: 2, QueueDepth: 2})
+	s := New(Config{Engine: eng, Shards: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

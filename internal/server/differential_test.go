@@ -3,9 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +20,7 @@ import (
 // randomGrid draws a seeded sweep over two FU-class axes (4 SimKeys per
 // benchmark set), several policy/assignment variants and technology points
 // per SimKey, and a repeated policy so the grid carries duplicate cells.
-func randomGrid(seed int64) SweepRequest {
+func randomGrid(seed int64, window uint64) SweepRequest {
 	rng := rand.New(rand.NewSource(seed))
 	pick := func(n, from int) []int {
 		perm := rng.Perm(from)[:n]
@@ -40,7 +42,7 @@ func randomGrid(seed int64) SweepRequest {
 	rng.Shuffle(len(benches), func(i, j int) { benches[i], benches[j] = benches[j], benches[i] })
 	return SweepRequest{
 		Benchmarks:  benches[:2],
-		Window:      testWindow,
+		Window:      window,
 		FUCounts:    pick(2, 4),
 		FPALUCounts: pick(2, 3),
 		Classes:     []string{"intalu", "fpalu"},
@@ -186,7 +188,32 @@ func sweepFleet(t *testing.T, body string, cells int, parallel ...int) (map[int]
 	return out, sims
 }
 
-// TestDifferentialByteIdentity evaluates seeded random grids six ways —
+// TestDifferentialByteIdentity runs the six-way differential check below
+// under GOMAXPROCS 1 and 4 as well as the default — a standalone daemon's
+// default worker count follows it — restoring the setting afterwards.
+// Each non-default setting draws a grid of its own at a 5,000-instruction
+// window, so the suite covers four grids while its race-detector stress
+// run stays within go test's default timeout.
+func TestDifferentialByteIdentity(t *testing.T) {
+	for _, run := range []struct {
+		procs  int
+		window uint64
+		seeds  []int64
+	}{{0, testWindow, []int64{1, 2}}, {1, 5_000, []int64{3}}, {4, 5_000, []int64{4}}} {
+		name := "GOMAXPROCS=default"
+		if run.procs > 0 {
+			name = fmt.Sprintf("GOMAXPROCS=%d", run.procs)
+		}
+		t.Run(name, func(t *testing.T) {
+			if run.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(run.procs))
+			}
+			differentialByteIdentity(t, run.window, run.seeds...)
+		})
+	}
+}
+
+// differentialByteIdentity evaluates seeded random grids six ways —
 // Engine.RunCell per cell, Engine.RunCells, a standalone daemon, a
 // 1-coordinator/2-worker fleet with Parallel 1 and with one worker at
 // Parallel 2, and a store-backed daemon restarted over its store and
@@ -195,9 +222,9 @@ func sweepFleet(t *testing.T, body string, cells int, parallel ...int) (map[int]
 // so poll results match for fresh, marshalled, and store-served cells.
 // The fleets must also simulate each (SimKey, program) pair exactly once:
 // SimKey routing keeps every variant of a machine on one worker.
-func TestDifferentialByteIdentity(t *testing.T) {
-	for _, seed := range []int64{1, 2} {
-		req := randomGrid(seed)
+func differentialByteIdentity(t *testing.T, window uint64, seeds ...int64) {
+	for _, seed := range seeds {
+		req := randomGrid(seed, window)
 		g, err := req.grid(10_000_000)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -405,3 +405,58 @@ func TestFleetKillWorkerMidGroupExactlyOnce(t *testing.T) {
 		t.Fatalf("store holds %d results, want 12", n)
 	}
 }
+
+// TestFleetCancelResubmitJoinsInFlight cancels a coordinator-role sweep
+// while a remote worker holds its leases, then resubmits it: every
+// resubmitted cell joins the work already in the fleet — the remote worker
+// finishes a canceled lease regardless — so each cell is simulated once.
+func TestFleetCancelResubmitJoinsInFlight(t *testing.T) {
+	const grid = `{"benchmarks": ["gcc"], "window": 20000, "fuCounts": [1,2],
+  "policies": [{"policy": "AlwaysActive"}, {"policy": "MaxSleep"}, {"policy": "SleepTimeout"}]}`
+	coord := fleet.NewCoordinator(fleet.Config{})
+	_, ts := newTestServer(t, Config{Fleet: coord})
+
+	// Every evaluation stalls on an injected delay until gate closes, and
+	// the cache is off, so the simulation count is the evaluation count.
+	gate := make(chan struct{})
+	inj := fault.New(7)
+	inj.Set(fault.CellSlow, fault.Spec{Delay: time.Millisecond})
+	eng := fusleep.NewEngine(fusleep.WithWindow(testWindow), fusleep.WithCache(false))
+	startWorker(t, ts.URL, &fleet.Worker{
+		Name: "remote",
+		Exec: &fleet.Executor{Engine: eng, Fault: inj, Sleep: func(ctx context.Context, _ time.Duration) error {
+			select {
+			case <-gate:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}},
+		Wait: 50 * time.Millisecond,
+	})
+
+	first := decodeSubmit(t, postSweep(t, ts.URL, grid))
+	waitFor(t, "a leased cell", 10*time.Second, func() bool { return coord.Stats().Leased > 0 })
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweeps/"+first.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	again := decodeSubmit(t, postSweep(t, ts.URL, grid))
+	waitFor(t, "the resubmit to join", 10*time.Second, func() bool { return coord.Stats().Joins == 6 })
+	close(gate)
+	if results, end := rawCellResults(t, ts.URL, again.ID); end.State != StateDone || len(results) != 6 {
+		t.Fatalf("resubmit ended %s with %d results, want done with 6", end.State, len(results))
+	}
+	if fs := coord.Stats(); fs.Dispatched != 6 || fs.Failed != 0 {
+		t.Fatalf("fleet stats = %+v, want 6 dispatched and no failures", fs)
+	}
+	if sims := eng.Stats().Simulations; sims != 6 {
+		t.Fatalf("worker ran %d simulations for 6 cells", sims)
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -209,12 +210,14 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.cfg.Fleet != nil {
-		s.mux.HandleFunc("POST /v1/fleet/register", s.handleFleetRegister)
-		s.mux.HandleFunc("POST /v1/fleet/heartbeat", s.handleFleetHeartbeat)
-		s.mux.HandleFunc("POST /v1/fleet/fetch", s.handleFleetFetch)
-		s.mux.HandleFunc("POST /v1/fleet/report", s.handleFleetReport)
-		s.mux.HandleFunc("GET /v1/fleet/workers", s.handleFleetWorkers)
+	if fl := s.cfg.Fleet; fl != nil {
+		s.mux.HandleFunc("POST /v1/fleet/register", fleetRoute(fl.WireRegister))
+		s.mux.HandleFunc("POST /v1/fleet/heartbeat", fleetRoute(fl.WireHeartbeat))
+		s.mux.HandleFunc("POST /v1/fleet/fetch", fleetRoute(fl.WireFetch))
+		s.mux.HandleFunc("POST /v1/fleet/report", fleetRoute(fl.WireReport))
+		s.mux.HandleFunc("GET /v1/fleet/workers", func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusOK, fl.Workers())
+		})
 	}
 	if s.cfg.Pprof {
 		// Explicit registration instead of the package's init side effect on
@@ -224,6 +227,33 @@ func (s *Server) routes() {
 		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	}
+}
+
+// fleetRoute serves one /v1/fleet wire call: it decodes the request, runs
+// the coordinator's wire entry point (the same one the loopback transport
+// calls), and encodes the response or the error envelope.
+func fleetRoute[Req, Resp any](call func(context.Context, Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, fleet.CodeBadRequest, "bad fleet request: %v", err)
+			return
+		}
+		resp, err := call(r.Context(), req)
+		switch {
+		case err == nil:
+			writeJSON(w, http.StatusOK, resp)
+		case errors.Is(err, fleet.ErrUnknownWorker):
+			// The worker client maps this code to ErrUnknownWorker and
+			// re-registers.
+			writeError(w, http.StatusNotFound, fleet.CodeUnknownWorker, "%v", err)
+		case errors.Is(err, fleet.ErrVersion):
+			writeError(w, http.StatusBadRequest, fleet.CodeVersion, "%v", err)
+		default:
+			// A fetch whose client went away mid-poll; best-effort.
+			writeError(w, http.StatusBadRequest, fleet.CodeBadRequest, "%v", err)
+		}
 	}
 }
 
@@ -243,47 +273,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fleet.CodeBadRequest, "bad sweep request: %v", err)
 		return
 	}
-	g, err := req.grid(s.cfg.MaxWindow)
+	cells, tooLarge, err := s.sweepCells(req)
 	if err != nil {
 		s.rejected.Add(1)
-		writeError(w, http.StatusBadRequest, fleet.CodeBadRequest, "bad sweep grid: %v", err)
-		return
-	}
-	// Bound the grid's cardinality BEFORE expansion: the seven axes
-	// multiply, so a small request body can describe an astronomically
-	// large grid, and expanding it first would allocate (or overflow the
-	// preallocation size) before the limit check ever ran. The product is
-	// checked axis by axis, so it is rejected long before it can overflow.
-	bound := 1
-	for _, n := range []int{
-		len(req.Policies) + len(req.Assignments), len(req.Techs) + len(req.Ps),
-		len(req.FUCounts), len(req.AGUCounts), len(req.MultCounts),
-		len(req.FPALUCounts), len(req.FPMultCounts),
-	} {
-		bound *= max(n, 1)
-		if bound > s.cfg.MaxCells {
-			s.rejected.Add(1)
-			writeError(w, http.StatusRequestEntityTooLarge, fleet.CodeGridTooLarge,
-				"grid describes at least %d cells; the service limit is %d", bound, s.cfg.MaxCells)
-			return
+		if tooLarge {
+			writeError(w, http.StatusRequestEntityTooLarge, fleet.CodeGridTooLarge, "%v", err)
+		} else {
+			writeError(w, http.StatusBadRequest, fleet.CodeBadRequest, "bad sweep grid: %v", err)
 		}
-	}
-	cells := s.eng.Cells(g)
-	if len(cells) > s.cfg.MaxCells {
-		s.rejected.Add(1)
-		writeError(w, http.StatusRequestEntityTooLarge, fleet.CodeGridTooLarge,
-			"grid expands to %d cells; the service limit is %d", len(cells), s.cfg.MaxCells)
 		return
-	}
-	// Validate every cell up front so a bad class/assignment combination
-	// (e.g. studying the AGU class on a shared-port machine point) is a 400
-	// at submit instead of a failed job after simulation started.
-	for i, c := range cells {
-		if err := c.Validate(); err != nil {
-			s.rejected.Add(1)
-			writeError(w, http.StatusBadRequest, fleet.CodeBadRequest, "bad sweep grid: cell %d: %v", i, err)
-			return
-		}
 	}
 	if !s.shedBacklog(w, s.rejected, len(cells)) {
 		return
@@ -317,6 +315,45 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, submitResponse{
 		ID: job.id, Cells: len(cells), URL: "/v1/sweeps/" + job.id,
 	})
+}
+
+// sweepCells expands a sweep request into its cells under the service
+// limits, for submissions and WAL replays alike; tooLarge marks a grid
+// over MaxCells.
+func (s *Server) sweepCells(req SweepRequest) (cells []fusleep.Cell, tooLarge bool, err error) {
+	g, err := req.grid(s.cfg.MaxWindow)
+	if err != nil {
+		return nil, false, err
+	}
+	// Bound the grid's cardinality BEFORE expansion: the seven axes
+	// multiply, so a small request body can describe an astronomically
+	// large grid, and expanding it first would allocate (or overflow the
+	// preallocation size) before the limit check ever ran. The product is
+	// checked axis by axis, so it is rejected long before it can overflow.
+	bound := 1
+	for _, n := range []int{
+		len(req.Policies) + len(req.Assignments), len(req.Techs) + len(req.Ps),
+		len(req.FUCounts), len(req.AGUCounts), len(req.MultCounts),
+		len(req.FPALUCounts), len(req.FPMultCounts),
+	} {
+		bound *= max(n, 1)
+		if bound > s.cfg.MaxCells {
+			return nil, true, fmt.Errorf("grid describes at least %d cells; the service limit is %d", bound, s.cfg.MaxCells)
+		}
+	}
+	cells = s.eng.Cells(g)
+	if len(cells) > s.cfg.MaxCells {
+		return nil, true, fmt.Errorf("grid expands to %d cells; the service limit is %d", len(cells), s.cfg.MaxCells)
+	}
+	// Validate every cell up front so a bad class/assignment combination
+	// (e.g. studying the AGU class on a shared-port machine point) is a 400
+	// at submit instead of a failed job after simulation started.
+	for i, c := range cells {
+		if err := c.Validate(); err != nil {
+			return nil, false, fmt.Errorf("cell %d: %w", i, err)
+		}
+	}
+	return cells, false, nil
 }
 
 // traceHeader is the first NDJSON line of a job-trace response.

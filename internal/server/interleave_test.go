@@ -24,7 +24,7 @@ import (
 // under -race -short.
 func TestInterleavedSweepTuneSubmitCancelDrain(t *testing.T) {
 	eng := fusleep.NewEngine(fusleep.WithWindow(5_000))
-	s, ts := newTestServer(t, Config{Engine: eng, Shards: 3, QueueDepth: 8})
+	s, ts := newTestServer(t, Config{Engine: eng, Shards: 3})
 
 	sweepBodies := []string{
 		`{"benchmarks": ["gcc"], "window": 5000, "fuCounts": [2]}`,

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"runtime"
+	"sync"
 	"time"
 
 	"github.com/archsim/fusleep/internal/fleet"
@@ -10,9 +11,10 @@ import (
 )
 
 // registerMetrics wires every server metric into s.reg: the mutation
-// counters the hot paths bump directly, scrape-time funcs over engine and
-// store stats, the latency histograms, and — in coordinator mode — the
-// per-worker fleet collectors. Called once from New, before any traffic.
+// counters the hot paths bump directly, scrape-time funcs over engine,
+// store, and fleet stats, the latency histograms, and the per-worker fleet
+// collectors (remote workers, or a standalone server's in-process ones).
+// Called once from New, before any traffic.
 func (s *Server) registerMetrics() {
 	reg := s.reg
 
@@ -40,7 +42,7 @@ func (s *Server) registerMetrics() {
 	s.retries = reg.NewCounter("fusleepd_cell_retries_total", "Transient cell failures retried with backoff.")
 	s.sheds = reg.NewCounter("fusleepd_load_shed_total", "Submissions shed with 429 while the backlog was full.")
 	s.replays = reg.NewCounter("fusleepd_recovery_replays_total", "Jobs replayed from the WAL at startup.")
-	s.storeServed = reg.NewCounter("fusleepd_store_served_total", "Cells served from the durable result store at feed time.")
+	s.storeServed = reg.NewCounter("fusleepd_store_served_total", "Cells and tuner probes served from the durable result store at dispatch.")
 	s.walErrs = reg.NewCounter("fusleepd_wal_errors_total", "WAL appends that failed (the job ran non-durably).")
 
 	// Latency distributions.
@@ -49,9 +51,9 @@ func (s *Server) registerMetrics() {
 	s.httpSeconds = reg.NewHistogramVec("fusleepd_http_request_seconds",
 		"HTTP request duration by mux route and status code.", nil, "route", "code")
 	s.queueWait = reg.NewHistogram("fusleepd_queue_wait_seconds",
-		"Time a cell waits between dispatch and execution (shard dequeue or fleet lease).", telemetry.FineBuckets)
+		"Time a cell waits between dispatch and its lease to a worker.", telemetry.FineBuckets)
 	s.roundtrip = reg.NewHistogram("fusleepd_worker_roundtrip_seconds",
-		"Fleet lease-to-report round trip per cell.", nil)
+		"Lease-to-report round trip per cell.", nil)
 	s.retryBackoff = reg.NewHistogram("fusleepd_retry_backoff_seconds",
 		"Backoff slept before transient-cell retries.", nil)
 	s.stageSeconds = reg.NewHistogramVec("fusleepd_trace_stage_seconds",
@@ -68,7 +70,7 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.eng.Stats().InflightJoins) })
 	gaugeFn("fusleepd_sim_cache_hit_rate", "Fraction of simulation requests that avoided a fresh run.",
 		func() float64 { return s.eng.Stats().HitRate() })
-	gaugeFn("fusleepd_queue_depth", "Cells waiting in the shard queues.",
+	gaugeFn("fusleepd_queue_depth", "Cells waiting in worker queues or for a worker to register.",
 		func() float64 { return float64(s.queueDepth()) })
 	gaugeFn("fusleepd_pending_cells", "Admission-controlled backlog of unsettled cells.",
 		func() float64 { return float64(s.pendingCells.Load()) })
@@ -100,64 +102,76 @@ func (s *Server) registerMetrics() {
 			func() float64 { return float64(jl.Bytes()) })
 	}
 
-	if fl := s.cfg.Fleet; fl != nil {
-		gaugeFn("fusleepd_fleet_workers", "Registered fleet workers.",
-			func() float64 { return float64(fl.Stats().Workers) })
-		gaugeFn("fusleepd_fleet_queued", "Cells queued on worker queues.",
-			func() float64 { return float64(fl.Stats().Queued) })
-		gaugeFn("fusleepd_fleet_leased", "Cells leased to workers awaiting reports.",
-			func() float64 { return float64(fl.Stats().Leased) })
-		gaugeFn("fusleepd_fleet_unassigned", "Cells orphaned while no worker was registered.",
-			func() float64 { return float64(fl.Stats().Unassigned) })
-		counterFn("fusleepd_fleet_dispatched_total", "Cells dispatched into the fleet.",
-			func() float64 { return float64(fl.Stats().Dispatched) })
-		counterFn("fusleepd_fleet_joins_total", "Dispatches that joined identical in-flight fleet work.",
-			func() float64 { return float64(fl.Stats().Joins) })
-		counterFn("fusleepd_fleet_completed_total", "Fleet cells reported successfully.",
-			func() float64 { return float64(fl.Stats().Completed) })
-		counterFn("fusleepd_fleet_failed_total", "Fleet cells reported as errors.",
-			func() float64 { return float64(fl.Stats().Failed) })
-		counterFn("fusleepd_fleet_requeues_total", "Cells requeued after a worker left or expired.",
-			func() float64 { return float64(fl.Stats().Requeues) })
-		counterFn("fusleepd_fleet_rebalanced_total", "Queued cells rerouted when a worker joined.",
-			func() float64 { return float64(fl.Stats().Rebalanced) })
-		counterFn("fusleepd_fleet_expired_total", "Workers expired after missed heartbeats.",
-			func() float64 { return float64(fl.Stats().Expired) })
-		counterFn("fusleepd_fleet_stale_reports_total", "Reports discarded because their lease had been requeued.",
-			func() float64 { return float64(fl.Stats().Stale) })
+	fl := s.fleet
+	gaugeFn("fusleepd_fleet_workers", "Registered fleet workers.",
+		func() float64 { return float64(fl.Stats().Workers) })
+	gaugeFn("fusleepd_fleet_queued", "Cells queued on worker queues.",
+		func() float64 { return float64(fl.Stats().Queued) })
+	gaugeFn("fusleepd_fleet_leased", "Cells leased to workers awaiting reports.",
+		func() float64 { return float64(fl.Stats().Leased) })
+	gaugeFn("fusleepd_fleet_unassigned", "Cells orphaned while no worker was registered.",
+		func() float64 { return float64(fl.Stats().Unassigned) })
+	counterFn("fusleepd_fleet_dispatched_total", "Cells dispatched into the fleet.",
+		func() float64 { return float64(fl.Stats().Dispatched) })
+	counterFn("fusleepd_fleet_joins_total", "Dispatches that joined identical in-flight fleet work.",
+		func() float64 { return float64(fl.Stats().Joins) })
+	counterFn("fusleepd_fleet_completed_total", "Fleet cells reported successfully.",
+		func() float64 { return float64(fl.Stats().Completed) })
+	counterFn("fusleepd_fleet_failed_total", "Fleet cells reported as errors.",
+		func() float64 { return float64(fl.Stats().Failed) })
+	counterFn("fusleepd_fleet_requeues_total", "Cells requeued after a worker left or expired.",
+		func() float64 { return float64(fl.Stats().Requeues) })
+	counterFn("fusleepd_fleet_rebalanced_total", "Queued cells rerouted when a worker joined.",
+		func() float64 { return float64(fl.Stats().Rebalanced) })
+	counterFn("fusleepd_fleet_expired_total", "Workers expired after missed heartbeats.",
+		func() float64 { return float64(fl.Stats().Expired) })
+	counterFn("fusleepd_fleet_stale_reports_total", "Reports discarded because their lease had been requeued.",
+		func() float64 { return float64(fl.Stats().Stale) })
 
-		// Per-worker breakdown, labeled by routing identity: queue/lease
-		// depths from the coordinator's own books, inflight/evaluated from
-		// each worker's latest heartbeat.
-		workerSamples := func(pick func(fleet.WorkerInfo) float64) func() []telemetry.Sample {
-			return func() []telemetry.Sample {
-				ws := fl.Workers()
-				out := make([]telemetry.Sample, 0, len(ws))
-				for _, w := range ws {
-					out = append(out, telemetry.Sample{Labels: []string{w.ID}, Value: pick(w)})
+	// Per-worker breakdown, labeled by routing identity: queue/lease
+	// depths from the coordinator's own books, inflight/evaluated from
+	// each worker's latest heartbeat.
+	// Label tuples are kept per membership position and reused while the
+	// position's worker ID holds, so scraping a steady membership
+	// allocates none.
+	var labelMu sync.Mutex
+	var labels [][]string
+	workerSamples := func(pick func(fleet.WorkerInfo) float64) func() []telemetry.Sample {
+		return func() []telemetry.Sample {
+			ws := fl.Workers()
+			out := make([]telemetry.Sample, len(ws))
+			labelMu.Lock()
+			defer labelMu.Unlock()
+			for i, w := range ws {
+				if i == len(labels) {
+					labels = append(labels, nil)
 				}
-				return out
+				if labels[i] == nil || labels[i][0] != w.ID {
+					labels[i] = []string{w.ID}
+				}
+				out[i] = telemetry.Sample{Labels: labels[i], Value: pick(w)}
 			}
+			return out
 		}
-		workerGauge := func(name, help string, pick func(fleet.WorkerInfo) float64) {
-			reg.NewGaugeCollector(name, help, []string{"worker"}, workerSamples(pick))
-		}
-		workerCounter := func(name, help string, pick func(fleet.WorkerInfo) float64) {
-			reg.NewCounterCollector(name, help, []string{"worker"}, workerSamples(pick))
-		}
-		workerGauge("fusleepd_fleet_worker_queued", "Cells queued for the worker.",
-			func(w fleet.WorkerInfo) float64 { return float64(w.Queued) })
-		workerGauge("fusleepd_fleet_worker_leased", "Cells leased to the worker awaiting reports.",
-			func(w fleet.WorkerInfo) float64 { return float64(w.Leased) })
-		workerGauge("fusleepd_fleet_worker_inflight", "Evaluations in flight on the worker (self-reported).",
-			func(w fleet.WorkerInfo) float64 { return float64(w.Inflight) })
-		workerCounter("fusleepd_fleet_worker_completed_total", "Cells the worker reported successfully.",
-			func(w fleet.WorkerInfo) float64 { return float64(w.Done) })
-		workerCounter("fusleepd_fleet_worker_failed_total", "Cells the worker reported as errors.",
-			func(w fleet.WorkerInfo) float64 { return float64(w.Failed) })
-		workerCounter("fusleepd_fleet_worker_evaluated_total", "Evaluation attempts the worker ran (self-reported).",
-			func(w fleet.WorkerInfo) float64 { return float64(w.Evaluated) })
 	}
+	workerGauge := func(name, help string, pick func(fleet.WorkerInfo) float64) {
+		reg.NewGaugeCollector(name, help, []string{"worker"}, workerSamples(pick))
+	}
+	workerCounter := func(name, help string, pick func(fleet.WorkerInfo) float64) {
+		reg.NewCounterCollector(name, help, []string{"worker"}, workerSamples(pick))
+	}
+	workerGauge("fusleepd_fleet_worker_queued", "Cells queued for the worker.",
+		func(w fleet.WorkerInfo) float64 { return float64(w.Queued) })
+	workerGauge("fusleepd_fleet_worker_leased", "Cells leased to the worker awaiting reports.",
+		func(w fleet.WorkerInfo) float64 { return float64(w.Leased) })
+	workerGauge("fusleepd_fleet_worker_inflight", "Evaluations in flight on the worker (self-reported).",
+		func(w fleet.WorkerInfo) float64 { return float64(w.Inflight) })
+	workerCounter("fusleepd_fleet_worker_completed_total", "Cells the worker reported successfully.",
+		func(w fleet.WorkerInfo) float64 { return float64(w.Done) })
+	workerCounter("fusleepd_fleet_worker_failed_total", "Cells the worker reported as errors.",
+		func(w fleet.WorkerInfo) float64 { return float64(w.Failed) })
+	workerCounter("fusleepd_fleet_worker_evaluated_total", "Evaluation attempts the worker ran (self-reported).",
+		func(w fleet.WorkerInfo) float64 { return float64(w.Evaluated) })
 }
 
 // handleMetrics renders the registry in the Prometheus text exposition

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log/slog"
 	"net/http"
@@ -28,13 +27,10 @@ import (
 type Config struct {
 	// Engine executes the cells. Required.
 	Engine *fusleep.Engine
-	// Shards is the worker-shard count; cells route to shards by
-	// configuration hash (default: min(GOMAXPROCS, 8)).
+	// Shards is how many in-process workers a standalone server starts on
+	// its private coordinator, each evaluating one SimKey group at a time
+	// (default: min(GOMAXPROCS, 8)). Ignored when Fleet is set.
 	Shards int
-	// QueueDepth bounds each shard's pending-cell queue (default 128).
-	// Feeding a full shard blocks the job's feeder goroutine, not the
-	// HTTP handler.
-	QueueDepth int
 	// MaxCells rejects sweeps that expand to more cells than this, and
 	// tuner runs asking for a larger evaluation budget (default 4096).
 	MaxCells int
@@ -52,9 +48,9 @@ type Config struct {
 	// of queueing without bound (default: MaxCells).
 	MaxPending int
 	// Results, when set, is the durable content-addressed result store:
-	// feed serves already-journaled cells from it without queueing them,
-	// and /metrics surfaces its stats. Wire the same store into the Engine
-	// (fusleep.WithResultStore) so freshly computed results are journaled.
+	// dispatch serves already-journaled cells and tuner probes from it, the
+	// coordinator's result hook journals every freshly computed one, and
+	// /metrics surfaces its stats.
 	Results *store.ResultStore
 	// Jobs, when set, is the job write-ahead log: accepted submissions are
 	// fsynced to it before they are acknowledged, terminal jobs are marked
@@ -73,11 +69,11 @@ type Config struct {
 	// Fault arms the server's fault-injection points for chaos tests; nil
 	// (production) injects nothing.
 	Fault *fault.Injector
-	// Fleet, when set, runs the server as a fleet coordinator: no local
-	// shard workers are started, accepted cells dispatch to registered
-	// remote workers by rendezvous hashing on their cell key, and the
-	// /v1/fleet wire endpoints are mounted. Nil (the default) embeds the
-	// workers in-process — the standalone daemon.
+	// Fleet, when set, runs the server as a fleet coordinator: cells
+	// dispatch to registered remote workers and the /v1/fleet wire
+	// endpoints are mounted. Nil (the default) is the standalone daemon:
+	// New builds a private coordinator and starts Shards in-process workers
+	// on it. Either way every cell takes the same dispatch path.
 	Fleet *fleet.Coordinator
 	// Registry, when set, is the metrics registry the server registers
 	// into; the daemon shares one registry between the server and the
@@ -99,9 +95,6 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = min(runtime.GOMAXPROCS(0), 8)
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 128
-	}
 	if c.MaxCells <= 0 {
 		c.MaxCells = 4096
 	}
@@ -117,25 +110,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// task is one queued cell evaluation: the cell, the context it runs under,
-// and the completion callback that routes the outcome back to its job.
-// done is called exactly once per task and must not block; worker names
-// the fleet worker that computed the result ("" for local evaluation,
-// store serves, and error outcomes).
+// task is one cell to dispatch — a sweep cell or a tuner probe — with the
+// context it runs under, its owning job's trace id, and the callbacks
+// that route its outcome back to the job. Exactly one of served (a store
+// hit, given the result's canonical bytes) and done (worker names the
+// fleet worker that computed the result, "" for error outcomes) is called,
+// once, unless dispatch reports false; neither may block.
 type task struct {
-	ctx  context.Context
-	cell fusleep.Cell
-	done func(worker string, res fusleep.CellResult, err error)
-	// trace is the owning job's trace id ("" when the job is untraced).
-	trace string
-	// enqueued stamps when the task entered the queue; the shard worker
-	// turns it into the queue-wait histogram.
-	enqueued time.Time
-}
-
-// shard is one worker's bounded inbox.
-type shard struct {
-	ch chan task
+	ctx    context.Context
+	cell   fusleep.Cell
+	key    string
+	trace  string
+	served func(canon []byte)
+	done   func(worker string, res fusleep.CellResult, err error)
 }
 
 // queueJob is the shared job resource: the retention registry's view of a
@@ -157,24 +144,21 @@ type queueJob interface {
 	serveStream(w http.ResponseWriter, r *http.Request)
 }
 
-// Server is the sweep-and-tune service: a shared engine behind a sharded
-// job queue plus the HTTP handlers that feed and observe it. Create with
-// New, serve its Handler, and call Drain (then Close) on shutdown.
+// Server is the sweep-and-tune service: job intake over a fleet
+// coordinator — remote workers, or in-process ones on a private
+// coordinator — plus the HTTP handlers that feed and observe it. Create
+// with New, serve its Handler, and call Drain (then Close) on shutdown.
 type Server struct {
 	cfg   Config
 	eng   *fusleep.Engine
 	mux   *http.ServeMux
 	start time.Time
 
-	shards  []*shard
-	workers sync.WaitGroup
-	feeders sync.WaitGroup
-
-	// exec is the role-agnostic evaluation path (fault injection, panic
-	// containment, per-cell deadline, retry with deterministic jitter)
-	// shared with remote fleet workers; the embedded shard workers run it
-	// in-process.
-	exec *fleet.Executor
+	// fleet executes every dispatched cell (see Coordinator); stopWorkers
+	// stops a standalone server's in-process workers.
+	fleet       *fleet.Coordinator
+	stopWorkers func()
+	feeders     sync.WaitGroup
 
 	mu        sync.Mutex
 	jobs      map[string]queueJob
@@ -209,13 +193,13 @@ type Server struct {
 	retries     *telemetry.Counter // transient cell failures retried
 	sheds       *telemetry.Counter // submissions shed with 429
 	replays     *telemetry.Counter // jobs replayed from the WAL
-	storeServed *telemetry.Counter // cells served from the result store at feed time
+	storeServed *telemetry.Counter // cells and probes served from the result store at dispatch
 	walErrs     *telemetry.Counter // WAL appends that failed (job ran non-durably)
 
 	// distributions
 	evalSeconds  *telemetry.Histogram    // per-attempt cell evaluation latency
 	httpSeconds  *telemetry.HistogramVec // request duration by route and code
-	queueWait    *telemetry.Histogram    // dispatch → execution (dequeue or lease)
+	queueWait    *telemetry.Histogram    // dispatch → lease
 	roundtrip    *telemetry.Histogram    // fleet lease → report per cell
 	retryBackoff *telemetry.Histogram    // backoff slept before retries
 	stageSeconds *telemetry.HistogramVec // per-trace-stage durations
@@ -226,8 +210,8 @@ type Server struct {
 	scrapeBuf bytes.Buffer
 }
 
-// New builds a server and starts its shard workers. It panics if cfg.Engine
-// is nil, since every request needs one.
+// New builds a server and, when it is standalone, starts its in-process
+// workers. It panics if cfg.Engine is nil, since every request needs one.
 func New(cfg Config) *Server {
 	if cfg.Engine == nil {
 		panic("server: Config.Engine is required")
@@ -237,8 +221,12 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		eng:       cfg.Engine,
 		start:     time.Now(),
+		fleet:     cfg.Fleet,
 		jobs:      make(map[string]queueJob),
 		drainDone: make(chan struct{}),
+	}
+	if s.fleet == nil {
+		s.fleet = fleet.NewCoordinator(fleet.Config{})
 	}
 	s.reg = cfg.Registry
 	if s.reg == nil {
@@ -263,56 +251,44 @@ func New(cfg Config) *Server {
 			s.roundtrip.Observe(seconds)
 		}
 	})
-	s.exec = &fleet.Executor{
-		Engine:      cfg.Engine,
-		CellTimeout: cfg.CellTimeout,
-		Fault:       cfg.Fault,
-		Retry: fleet.RetryPolicy{
-			MaxRetries: cfg.MaxRetries,
-			Base:       cfg.RetryBase,
-			Seed:       0x66_75_73_6c_65_65_70, // "fusleep"
-		},
-		OnRetry: func(key string, attempt int, delay time.Duration) {
-			s.retries.Inc()
-			s.retryBackoff.Observe(delay.Seconds())
-			s.log.Debug("cell retry scheduled", "key", key, "attempt", attempt, "backoff", delay)
-		},
-		OnAttempt: func(key string, attempt int, seconds float64, err error) {
-			ev := telemetry.Event{Stage: telemetry.StageEvaluated, Attempt: attempt, Seconds: seconds}
-			if err != nil {
-				ev.Err = err.Error()
-			}
-			s.trace.RecordKey(key, ev)
-		},
-	}
 	// Without a WAL there is nothing to replay; with one, readiness waits
 	// for Recover.
 	s.recovered.Store(cfg.Jobs == nil)
-	if cfg.Fleet != nil {
-		// Coordinator role: remote workers execute the cells; results are
-		// journaled as they are reported, and lease expiry ticks in the
-		// background until drain completes.
-		cfg.Fleet.SetOnResult(s.fleetResult)
-		cfg.Fleet.SetTrace(s.trace)
-		cfg.Fleet.SetLogger(s.log)
-		go s.expiryLoop()
-	} else {
-		for i := 0; i < cfg.Shards; i++ {
-			sh := &shard{ch: make(chan task, cfg.QueueDepth)}
-			s.shards = append(s.shards, sh)
-			s.workers.Add(1)
-			go s.worker(sh)
-		}
+	// Results are journaled as workers report them, and lease expiry ticks
+	// in the background until drain completes.
+	s.fleet.SetOnResult(s.fleetResult)
+	s.fleet.SetObservers(s.trace, s.log)
+	go s.expiryLoop()
+	s.stopWorkers = func() {}
+	if cfg.Fleet == nil {
+		s.stopWorkers = s.fleet.StartLocal(cfg.Shards, fleet.Executor{
+			Engine:      cfg.Engine,
+			CellTimeout: cfg.CellTimeout,
+			Fault:       cfg.Fault,
+			Retry: fleet.RetryPolicy{
+				MaxRetries: cfg.MaxRetries,
+				Base:       cfg.RetryBase,
+				Seed:       0x66_75_73_6c_65_65_70, // "fusleep"
+			},
+			OnRetry: func(key string, attempt int, delay time.Duration) {
+				s.retries.Inc()
+				s.retryBackoff.Observe(delay.Seconds())
+				s.log.Debug("cell retry scheduled", "key", key, "attempt", attempt, "backoff", delay)
+			},
+		}, s.log)
 	}
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s
 }
 
-// fleetResult journals a remotely computed cell into the content-addressed
-// result store, exactly where a standalone engine would have put it. This
-// is what makes a requeued replay of already-reported work free: the
-// dispatch path serves it from the store instead of recomputing.
+// Coordinator returns Config.Fleet, or a standalone server's private one.
+func (s *Server) Coordinator() *fleet.Coordinator { return s.fleet }
+
+// fleetResult journals a freshly computed cell: the daemon's only put. The
+// coordinator runs it before any waiting task's done, so the journal
+// append lands before the stream line, and a requeued replay of reported
+// work is served from the store at dispatch instead of recomputed.
 func (s *Server) fleetResult(key string, res fusleep.CellResult) {
 	if s.cfg.Results == nil {
 		return
@@ -327,13 +303,13 @@ func (s *Server) fleetResult(key string, res fusleep.CellResult) {
 // even while no other fleet traffic arrives. It stops when the drain
 // completes.
 func (s *Server) expiryLoop() {
-	tick := max(s.cfg.Fleet.TTL()/2, 10*time.Millisecond)
+	tick := max(s.fleet.TTL()/2, 10*time.Millisecond)
 	t := time.NewTicker(tick)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			s.cfg.Fleet.Expire()
+			s.fleet.Expire()
 		case <-s.drainDone:
 			return
 		}
@@ -417,111 +393,65 @@ func (w *statusWriter) Flush() {
 
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// shardFor routes a cell to its worker shard by simulation identity
-// (SimKey), so every cell needing the same simulations — identical cells,
-// and equally the policy/tech variants of one (workload, FU-mix) machine,
-// whether they arrive via a sweep grid or a tuner probe — serializes on one
-// shard and evaluates closed-form off the shard's warm simulation and
-// profile caches instead of simulating concurrently on different shards.
-// Per-cell wire results are unaffected: dispatch affinity changes the
-// schedule, not the numbers.
-func (s *Server) shardFor(c fusleep.Cell) *shard {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(c.SimKey()))
-	return s.shards[h.Sum64()%uint64(len(s.shards))]
+// dispatch is the daemon's one path for a cell, sweep cell and tuner probe
+// alike. A cell already journaled in the result store is served from it —
+// the path's only store lookup — without reaching a worker; any other cell
+// goes to the coordinator, which routes it by SimKey to a worker, joins an
+// identical in-flight cell, and journals the result before calling done.
+// dispatch blocks under backpressure and reports false, calling neither
+// callback, when the task's context was canceled first; the caller settles
+// the cell as skipped.
+func (s *Server) dispatch(t task) bool {
+	if s.cfg.Results != nil && t.ctx.Err() == nil {
+		if canon, ok := s.cfg.Results.ServeCell(t.key); ok {
+			s.storeServed.Inc()
+			s.trace.Record(t.trace, telemetry.Event{Stage: telemetry.StageStoreServed, Key: t.key})
+			t.served(canon)
+			return true
+		}
+	}
+	// Record dispatch first: this binds the cell key to the job's trace, so
+	// key-addressed events (stored results) land on the right timeline.
+	s.trace.Record(t.trace, telemetry.Event{Stage: telemetry.StageDispatched, Key: t.key})
+	return s.fleet.Dispatch(fleet.Task{Ctx: t.ctx, Cell: t.cell, Done: t.done, TraceID: t.trace}) == nil
 }
 
-// worker drains one shard until the shard channel closes at drain time.
-// Evaluation goes through the shared Executor, which contains panics,
-// enforces the per-cell deadline, and retries transient failures.
-func (s *Server) worker(sh *shard) {
-	defer s.workers.Done()
-	for t := range sh.ch {
-		if err := t.ctx.Err(); err != nil {
-			t.done("", fusleep.CellResult{}, err)
-			continue
-		}
-		if !t.enqueued.IsZero() {
-			s.queueWait.Observe(time.Since(t.enqueued).Seconds())
-		}
-		res, err := s.exec.EvalCell(t.ctx, t.cell)
-		t.done("", res, err)
-	}
-}
-
-// enqueue routes one task to its executor: the cell's worker shard in
-// standalone mode, the fleet coordinator in coordinator mode (where
-// already-journaled cells are served from the store without dispatching —
-// the short-circuit that makes requeued replays free). It blocks under
-// backpressure and reports false — without calling done — when the task's
-// context was canceled first; the caller settles the cell as skipped.
-func (s *Server) enqueue(t task) bool {
-	if fl := s.cfg.Fleet; fl != nil {
-		if s.cfg.Results != nil && t.ctx.Err() == nil {
-			key := t.cell.Key()
-			if res, ok, err := s.cfg.Results.GetCell(key); err == nil && ok {
-				s.storeServed.Inc()
-				if t.trace != "" {
-					s.trace.Record(t.trace, telemetry.Event{Stage: telemetry.StageStoreServed, Key: key})
-				}
-				t.done("", res, nil)
-				return true
-			}
-		}
-		return fl.Dispatch(fleet.Task{Ctx: t.ctx, Cell: t.cell, Done: t.done, TraceID: t.trace}) == nil
-	}
-	select {
-	case s.shardFor(t.cell).ch <- t:
-		return true
-	case <-t.ctx.Done():
-		return false
-	}
-}
-
-// feed pushes a sweep job's cells into their shards, stopping early if the
-// job is aborted; unfed cells settle as skipped so the job still
-// terminates. Cells already in the durable result store are served from
-// disk here — no queue slot, no worker, no recomputation — which is what
-// makes a replayed job re-enqueue only its unfinished cells.
+// feed dispatches a sweep job's cells, stopping early if the job is
+// aborted; undispatched cells settle as skipped so the job still
+// terminates. Cells already in the durable result store are served at
+// dispatch, which is what makes a replayed job recompute only its
+// unfinished cells.
 func (s *Server) feed(job *sweepJob) {
 	defer s.feeders.Done()
 	for i, c := range job.cells {
-		idx := i
-		key := c.Key()
-		if s.cfg.Results != nil && job.ctx.Err() == nil {
-			if canon, ok := s.cfg.Results.ServeCell(key); ok {
-				// Count before completing: complete() may finish the job and
-				// release its stream, and the metrics must already agree with
-				// what that stream announced.
-				s.cellsDone.Inc()
-				s.storeServed.Inc()
-				s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageStoreServed, Key: key})
-				job.complete("", cellLine{key: key, index: idx, result: canon})
-				s.release(1)
-				continue
-			}
-		}
-		// Record dispatch before enqueueing: this binds the cell key to the
-		// job's trace, so key-addressed events (evaluated attempts, stored
-		// results) land on the right timeline.
-		s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageDispatched, Key: key})
-		t := task{ctx: job.ctx, cell: c, trace: job.id, enqueued: time.Now(), done: func(worker string, res fusleep.CellResult, err error) {
-			defer s.release(1)
-			var canon []byte
-			if err == nil {
-				canon, err = s.resultBytes(key, res)
-			}
-			if err != nil {
-				s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageFailed, Key: key, Err: err.Error()})
-				job.fail(err, s.cellsFailed.Inc)
-				return
-			}
-			s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageCompleted, Key: key, Worker: worker})
-			// Count before completing, as the store-served branch does.
+		idx, key := i, c.Key()
+		// Count before completing: complete() may finish the job and
+		// release its stream, and the metrics must already agree with what
+		// that stream announced.
+		complete := func(worker string, canon []byte) {
 			s.cellsDone.Inc()
 			job.complete(worker, cellLine{key: key, index: idx, result: canon})
-		}}
-		if !s.enqueue(t) {
+		}
+		t := task{ctx: job.ctx, cell: c, key: key, trace: job.id,
+			served: func(canon []byte) {
+				complete("", canon)
+				s.release(1)
+			},
+			done: func(worker string, res fusleep.CellResult, err error) {
+				defer s.release(1)
+				var canon []byte
+				if err == nil {
+					canon, err = s.resultBytes(key, res)
+				}
+				if err != nil {
+					s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageFailed, Key: key, Err: err.Error()})
+					job.fail(err, s.cellsFailed.Inc)
+					return
+				}
+				s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageCompleted, Key: key, Worker: worker})
+				complete(worker, canon)
+			}}
+		if !s.dispatch(t) {
 			s.release(len(job.cells) - i)
 			job.skip(len(job.cells) - i)
 			return
@@ -530,10 +460,8 @@ func (s *Server) feed(job *sweepJob) {
 }
 
 // resultBytes returns a freshly computed cell's canonical encoding (Index
-// 0): the bytes the result store journaled for key when the cell was put
-// there — by the engine's store tier or by fleetResult — before this
-// completion, else one json.Marshal (no store configured, or the put
-// failed).
+// 0): the bytes fleetResult journaled for key before this completion, else
+// one json.Marshal (no store configured, or the put failed).
 func (s *Server) resultBytes(key string, res fusleep.CellResult) ([]byte, error) {
 	if s.cfg.Results != nil {
 		if canon, ok := s.cfg.Results.CellBytes(key); ok {
@@ -653,19 +581,11 @@ func (s *Server) nextID(prefix string) string {
 	return jobID(prefix, s.seq)
 }
 
-// queueDepth sums the pending (not yet executing) cells: shard-channel
-// backlogs in standalone mode, worker queues plus unrouted orphans in
-// coordinator mode.
+// queueDepth sums the pending (not yet leased) cells: worker queues plus
+// orphans waiting for a worker to register.
 func (s *Server) queueDepth() int {
-	if fl := s.cfg.Fleet; fl != nil {
-		st := fl.Stats()
-		return st.Queued + st.Unassigned
-	}
-	n := 0
-	for _, sh := range s.shards {
-		n += len(sh.ch)
-	}
-	return n
+	st := s.fleet.Stats()
+	return st.Queued + st.Unassigned
 }
 
 // Draining reports whether the server has stopped accepting jobs.
@@ -676,12 +596,11 @@ func (s *Server) Draining() bool {
 }
 
 // Drain stops accepting new jobs, lets every queued and in-flight cell
-// finish (tuner runs drive to completion), and stops the shard workers. If
-// ctx expires first, the remaining jobs are canceled (their in-flight
-// cells abort promptly and settle as skipped) and Drain returns ctx.Err
-// after the workers exit. Drain is idempotent; concurrent calls — and
-// Close calls racing a Drain — share the single drain goroutine, so the
-// shard channels close exactly once.
+// finish (tuner runs drive to completion), and stops the in-process
+// workers. If ctx expires first, the remaining jobs are canceled (their
+// in-flight cells abort promptly and settle as skipped) and Drain returns
+// ctx.Err after the workers exit. Drain is idempotent; concurrent calls —
+// and Close calls racing a Drain — share the single drain goroutine.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -693,18 +612,12 @@ func (s *Server) Drain(ctx context.Context) error {
 			// ones finish the queues only shrink.
 			s.log.Info("drain started", "queued", s.queueDepth())
 			s.feeders.Wait()
-			if fl := s.cfg.Fleet; fl != nil {
-				// Coordinator role: wait for the fleet to report (or a
-				// forced close to cancel) every outstanding assignment. The
-				// context is detached on purpose — the drain must outlast
-				// the caller's ctx, and a forced close unblocks it by
-				// canceling every job.
-				_ = fl.Quiesce(context.Background(), 10*time.Millisecond) //fusleepvet:ctx-ok forced close cancels the jobs Quiesce waits on
-			}
-			for _, sh := range s.shards {
-				close(sh.ch)
-			}
-			s.workers.Wait()
+			// Wait for the workers to report (or a forced close to cancel)
+			// every outstanding assignment. The context is detached on
+			// purpose — the drain must outlast the caller's ctx, and a
+			// forced close unblocks it by canceling every job.
+			_ = s.fleet.Quiesce(context.Background(), 10*time.Millisecond) //fusleepvet:ctx-ok forced close cancels the jobs Quiesce waits on
+			s.stopWorkers()
 			s.log.Info("drain complete")
 			close(s.drainDone)
 		}()
@@ -726,7 +639,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // Close force-stops the server: cancel every job, then drain. For tests
 // and fatal-error paths; production shutdown should Drain first. Close
 // keeps the conventional no-argument signature — after cancelAll every
-// worker is already unblocking, so the drain below cannot hang. Jobs
+// in-flight cell is aborting, so the drain below cannot hang. Jobs
 // aborted here are deliberately NOT marked finished in the WAL: a forced
 // stop is the in-process stand-in for a crash, and the aborted jobs are
 // exactly the replay set the next start recovers.
@@ -789,7 +702,7 @@ func (s *Server) finishRecord(id string) func(state string) {
 
 // Recover replays the job WAL: every job submitted but never finished is
 // re-registered under its original ID and re-run. Cells already in the
-// durable result store are served from disk at feed time, so a replayed
+// durable result store are served from disk at dispatch, so a replayed
 // sweep recomputes only the cells the crash actually lost. Call Recover
 // once, after New and before serving traffic; /readyz reports 503 until
 // it has run (when a WAL is configured).
@@ -834,32 +747,25 @@ func (s *Server) Recover() (int, error) {
 
 // replay re-submits one WAL record under its original ID.
 func (s *Server) replay(rec store.JobRecord) error {
+	var (
+		job    queueJob
+		cancel context.CancelFunc
+		cells  int // backlog reservation: sweep cells or tune budget
+		run    func()
+	)
 	switch rec.Kind {
 	case "sweep":
 		var req SweepRequest
 		if err := json.Unmarshal(rec.Payload, &req); err != nil {
 			return err
 		}
-		g, err := req.grid(s.cfg.MaxWindow)
+		grid, _, err := s.sweepCells(req)
 		if err != nil {
 			return err
 		}
-		cells := s.eng.Cells(g)
-		job := newSweepJob(context.Background(), rec.ID, cells) //fusleepvet:ctx-ok replayed job outlives the call
-		job.recovered = true
-		job.rec = s.trace
-		job.onTerminal = s.finishRecord(rec.ID)
-		// Start the trace before submit: the feeder races this function, and
-		// its dispatch events must find the trace already live.
-		s.trace.Start(rec.ID)
-		s.trace.Record(rec.ID, telemetry.Event{Stage: telemetry.StageReplayed, Detail: "sweep"})
-		s.log.Info("replaying journaled job", "job", rec.ID, "kind", "sweep", "cells", len(cells))
-		s.pendingCells.Add(int64(len(cells)))
-		if err := s.submit(rec.ID, job, func() { s.feed(job) }); err != nil {
-			s.release(len(cells))
-			job.cancel()
-			return err
-		}
+		j := newSweepJob(context.Background(), rec.ID, grid) //fusleepvet:ctx-ok replayed job outlives the call
+		j.recovered, j.rec, j.onTerminal = true, s.trace, s.finishRecord(rec.ID)
+		job, cancel, cells, run = j, j.cancel, len(grid), func() { s.feed(j) }
 	case "tune":
 		var req TuneRequest
 		if err := json.Unmarshal(rec.Payload, &req); err != nil {
@@ -869,21 +775,22 @@ func (s *Server) replay(rec store.JobRecord) error {
 		if err != nil {
 			return err
 		}
-		job := newTuneJob(context.Background(), rec.ID, budget) //fusleepvet:ctx-ok replayed job outlives the call
-		job.recovered = true
-		job.rec = s.trace
-		job.onTerminal = s.finishRecord(rec.ID)
-		s.trace.Start(rec.ID)
-		s.trace.Record(rec.ID, telemetry.Event{Stage: telemetry.StageReplayed, Detail: "tune"})
-		s.log.Info("replaying journaled job", "job", rec.ID, "kind", "tune", "budget", budget)
-		s.pendingCells.Add(int64(budget))
-		if err := s.submit(rec.ID, job, func() { s.runTune(job, opts) }); err != nil {
-			s.release(budget)
-			job.cancel()
-			return err
-		}
+		j := newTuneJob(context.Background(), rec.ID, budget) //fusleepvet:ctx-ok replayed job outlives the call
+		j.recovered, j.rec, j.onTerminal = true, s.trace, s.finishRecord(rec.ID)
+		job, cancel, cells, run = j, j.cancel, budget, func() { s.runTune(j, opts) }
 	default:
 		return fmt.Errorf("unknown job kind %q", rec.Kind)
+	}
+	// Start the trace before submit: the feeder races this function, and
+	// its dispatch events must find the trace already live.
+	s.trace.Start(rec.ID)
+	s.trace.Record(rec.ID, telemetry.Event{Stage: telemetry.StageReplayed, Detail: rec.Kind})
+	s.log.Info("replaying journaled job", "job", rec.ID, "kind", rec.Kind, "cells", cells)
+	s.pendingCells.Add(int64(cells))
+	if err := s.submit(rec.ID, job, run); err != nil {
+		s.release(cells)
+		cancel()
+		return err
 	}
 	return nil
 }

@@ -146,7 +146,7 @@ func (j *sweepJob) complete(worker string, line cellLine) {
 }
 
 // skip accounts for n cells that will never run (job aborted before they
-// were fed to a shard, or a worker dropped them after cancellation).
+// were dispatched, or a worker dropped them after cancellation).
 func (j *sweepJob) skip(n int) {
 	if n == 0 {
 		return

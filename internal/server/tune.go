@@ -311,13 +311,12 @@ func (j *tuneJob) watch(offset int) (fresh []fusleep.TuneProbe, state string, up
 	return fresh, j.state, j.updated
 }
 
-// queueEvaluator routes tuner probes through the shared dispatch path —
-// the sharded cell queue in standalone mode, the fleet in coordinator
-// mode — so tune and sweep workloads share workers and identical cells
-// — across job kinds, requests, and clients — dedupe through the
-// simulation cache (or the fleet's duplicate-work join). jobID names the
-// trace every probe's lifecycle lands on; record, when non-nil, receives
-// the name of each fleet worker that evaluated a probe.
+// queueEvaluator routes tuner probes through the daemon's one dispatch
+// path, so tune and sweep workloads share workers, and identical cells —
+// across job kinds, requests, and clients — are served from the result
+// store, join in-flight work, or dedupe through the simulation cache.
+// jobID names the trace every probe's lifecycle lands on; record, when
+// non-nil, receives the name of each fleet worker that evaluated a probe.
 func (s *Server) queueEvaluator(jobID string, record func(worker string)) fusleep.TuneEvaluator {
 	return func(ctx context.Context, c fusleep.Cell) (fusleep.CellResult, error) {
 		type outcome struct {
@@ -325,8 +324,8 @@ func (s *Server) queueEvaluator(jobID string, record func(worker string)) fuslee
 			err error
 		}
 		key := c.Key()
-		ch := make(chan outcome, 1) // buffered: the worker's done never blocks
-		t := task{ctx: ctx, cell: c, trace: jobID, enqueued: time.Now(), done: func(worker string, res fusleep.CellResult, err error) {
+		ch := make(chan outcome, 1) // buffered: the callbacks never block
+		done := func(worker string, res fusleep.CellResult, err error) {
 			if err != nil {
 				s.trace.Record(jobID, telemetry.Event{Stage: telemetry.StageFailed, Key: key, Err: err.Error()})
 			} else {
@@ -336,11 +335,13 @@ func (s *Server) queueEvaluator(jobID string, record func(worker string)) fuslee
 				s.trace.Record(jobID, telemetry.Event{Stage: telemetry.StageCompleted, Key: key, Worker: worker})
 			}
 			ch <- outcome{res, err}
-		}}
-		// Record dispatch before enqueueing: this binds the cell key to the
-		// job's trace for key-addressed events.
-		s.trace.Record(jobID, telemetry.Event{Stage: telemetry.StageDispatched, Key: key})
-		if !s.enqueue(t) {
+		}
+		served := func(canon []byte) {
+			var res fusleep.CellResult
+			err := json.Unmarshal(canon, &res)
+			done("", res, err)
+		}
+		if !s.dispatch(task{ctx: ctx, cell: c, key: key, trace: jobID, served: served, done: done}) {
 			if err := ctx.Err(); err != nil {
 				return fusleep.CellResult{}, err
 			}
@@ -356,8 +357,8 @@ func (s *Server) queueEvaluator(jobID string, record func(worker string)) fuslee
 }
 
 // runTune drives one tuner run to completion. It runs on the job's feeder
-// goroutine: every probe it enqueues lands on the shard queues before the
-// feeder exits, which is what makes Drain's close-after-feeders ordering
+// goroutine: every probe it dispatches reaches the coordinator before the
+// feeder exits, which is what makes Drain's quiesce-after-feeders ordering
 // safe.
 func (s *Server) runTune(job *tuneJob, opts []fusleep.TuneOption) {
 	defer s.feeders.Done()

@@ -135,18 +135,19 @@ func (s *ResultStore) GetCell(key string) (experiments.CellResult, bool, error) 
 
 // PutCell journals one completed cell under its key. Results are
 // content-addressed — a key already present is the same computation, so
-// the put is a no-op. The result's Index is not persisted (it is a
-// per-grid position, not part of the cell's identity).
+// the put is a no-op, checked before any encoding: re-putting a journaled
+// key costs one locked map lookup. The result's Index is not persisted (it
+// is a per-grid position, not part of the cell's identity).
 func (s *ResultStore) PutCell(key string, res experiments.CellResult) error {
-	res.Index = 0
-	data, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("store: encode result %s: %w", key, err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.index[key]; ok {
 		return nil
+	}
+	res.Index = 0
+	data, err := json.Marshal(res)
+	if err != nil {
+		return fmt.Errorf("store: encode result %s: %w", key, err)
 	}
 	if err := s.j.Append(Record{Kind: kindResult, Key: key, Data: data}); err != nil {
 		s.putErrs++

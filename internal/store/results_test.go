@@ -129,6 +129,33 @@ func TestResultStoreContentAddressedPutIdempotent(t *testing.T) {
 	}
 }
 
+// TestResultStoreDuplicatePutIsLookup pins the cost of re-putting a
+// journaled key, which a daemon whose engine also journals pays once per
+// fresh cell: no bytes appended, no put counted, and no allocation — the
+// key is checked before the result is encoded.
+func TestResultStoreDuplicatePutIsLookup(t *testing.T) {
+	s := openTestResults(t, filepath.Join(t.TempDir(), ResultsFile), JournalOptions{})
+	defer s.Close()
+	res := testResult(1)
+	key := res.Cell.Key()
+	if err := s.PutCell(key, res); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.PutCell(key, res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	after := s.Stats()
+	if after.Bytes != before.Bytes || after.Puts != before.Puts {
+		t.Fatalf("duplicate puts changed the store: %+v -> %+v", before, after)
+	}
+	if allocs != 0 {
+		t.Fatalf("duplicate put allocates %.0f objects, want 0", allocs)
+	}
+}
+
 func TestResultStoreTornTailRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), ResultsFile)
 	s := openTestResults(t, path, JournalOptions{})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -271,8 +272,8 @@ func (r *Registry) collector(name, help, typ string, labels []string, fn func() 
 	}
 	r.register(&family{name: name, help: help, typ: typ, emit: func(f *family, buf *bytes.Buffer) {
 		samples := fn()
-		sort.Slice(samples, func(i, j int) bool {
-			return lessLabels(samples[i].Labels, samples[j].Labels)
+		slices.SortFunc(samples, func(a, b Sample) int {
+			return slices.Compare(a.Labels, b.Labels)
 		})
 		for _, s := range samples {
 			if len(s.Labels) != len(labels) {
@@ -297,16 +298,6 @@ func (r *Registry) NewGaugeCollector(name, help string, labels []string, fn func
 // scrape time (e.g. per-worker completion totals).
 func (r *Registry) NewCounterCollector(name, help string, labels []string, fn func() []Sample) {
 	r.collector(name, help, "counter", labels, fn)
-}
-
-// lessLabels orders label tuples lexicographically.
-func lessLabels(a, b []string) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // Histogram is a fixed-bucket latency distribution with a lock-free

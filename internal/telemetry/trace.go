@@ -12,7 +12,7 @@ const (
 	StageSubmitted   = "submitted"    // job accepted by the HTTP layer
 	StageJournaled   = "journaled"    // job fsynced to the WAL
 	StageReplayed    = "replayed"     // job re-registered from the WAL after a restart
-	StageDispatched  = "dispatched"   // cell routed to a shard or fleet worker
+	StageDispatched  = "dispatched"   // cell routed to a fleet worker
 	StageStoreServed = "store_served" // cell served from the durable result store
 	StageLeased      = "leased"       // cell fetched by a fleet worker
 	StageEvaluated   = "evaluated"    // one evaluation attempt finished (attempt=N)
