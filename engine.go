@@ -6,7 +6,6 @@ import (
 
 	"github.com/archsim/fusleep/internal/core"
 	"github.com/archsim/fusleep/internal/experiments"
-	"github.com/archsim/fusleep/internal/pipeline"
 	"github.com/archsim/fusleep/internal/report"
 )
 
@@ -292,27 +291,27 @@ func (e *Engine) Simulate(ctx context.Context, name string, opts ...SimOption) (
 		FetchMispredictStalls: res.FetchMispredictStalls,
 		MeanFUUtilization:     res.MeanFUUtilization(),
 	}
-	for _, prof := range res.FUs {
-		rep.FUProfiles = append(rep.FUProfiles, toIdleProfile(prof))
+	for i := range res.FUs {
+		rep.FUProfiles = append(rep.FUProfiles, toIdleProfile(&res.FUs[i]))
 	}
 	rep.ClassProfiles = make(map[FUClass][]*IdleProfile, len(res.Classes))
 	for _, cp := range res.Classes {
 		profs := make([]*IdleProfile, 0, len(cp.Units))
-		for _, prof := range cp.Units {
-			profs = append(profs, toIdleProfile(prof))
+		for i := range cp.Units {
+			profs = append(profs, toIdleProfile(&cp.Units[i]))
 		}
 		rep.ClassProfiles[cp.Class] = profs
 	}
 	return rep, nil
 }
 
-// toIdleProfile converts a measured unit profile into the energy model's
-// form.
-func toIdleProfile(prof pipeline.FUProfile) *IdleProfile {
-	p := core.NewIdleProfile()
+// toIdleProfile copies a recorded unit profile, so a report the caller
+// mutates never aliases the runner's cached simulation results.
+func toIdleProfile(prof *IdleProfile) *IdleProfile {
+	p := core.NewIdleProfileSized(len(prof.Intervals))
 	p.ActiveCycles = prof.ActiveCycles
-	for l, n := range prof.Intervals {
-		p.AddIdle(l, n)
+	for _, l := range prof.SortedLengths() {
+		p.AddIdle(l, prof.Intervals[l])
 	}
 	return p
 }
@@ -396,7 +395,11 @@ func (e *Engine) resolveGrid(g Grid) Grid {
 // it. Identical cells are deduplicated through the cache, so re-running a
 // cell is a map lookup.
 func (e *Engine) RunCell(ctx context.Context, c Cell) (CellResult, error) {
-	return experiments.EvalCell(ctx, e.runner, e.resolveCell(c))
+	out, err := experiments.EvalCells(ctx, e.runner, []Cell{e.resolveCell(c)})
+	if err != nil {
+		return CellResult{}, err
+	}
+	return out[0], nil
 }
 
 // RunCells evaluates a batch of sweep cells with shared-pass batching:

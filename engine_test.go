@@ -279,3 +279,63 @@ func TestEngineSweepStreamAndStats(t *testing.T) {
 		t.Error("RunCell re-simulated a cached cell")
 	}
 }
+
+// TestSimulateReportDoesNotAliasCache mutates every profile of a Simulate
+// report and checks that nothing later served off the same cached
+// simulation moved: neither a second Simulate nor a cell scored from it.
+func TestSimulateReportDoesNotAliasCache(t *testing.T) {
+	ctx := context.Background()
+	cell := Cell{
+		Policy:     PolicyConfig{Policy: GradualSleep},
+		Tech:       DefaultTech(),
+		Benchmarks: []string{"gcc"},
+		Alpha:      0.5,
+		L2Latency:  12,
+		Classes:    []FUClass{FUIntALU, FUMult},
+	}
+	want, err := NewEngine(WithWindow(30_000)).RunCells(ctx, []Cell{cell})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e := NewEngine(WithWindow(30_000))
+	first, err := e.Simulate(ctx, "gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profs := append([]*IdleProfile(nil), first.FUProfiles...)
+	for _, ps := range first.ClassProfiles {
+		profs = append(profs, ps...)
+	}
+	for _, p := range profs {
+		p.ActiveCycles += 5
+		p.AddIdle(7, 1000)
+		p.AddIdle(1<<20, 1)
+	}
+
+	second, err := e.Simulate(ctx, "gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := json.Marshal(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Errorf("second Simulate report changed after the first was mutated:\n got %.300s\nwant %.300s", after, before)
+	}
+	got, err := e.RunCells(ctx, []Cell{cell})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cell scored after the mutation = %+v, want %+v", got, want)
+	}
+	if n := e.Stats().Simulations; n != 1 {
+		t.Errorf("simulations = %d, want 1: every read must come off the one cached run", n)
+	}
+}

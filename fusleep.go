@@ -155,7 +155,8 @@ type BenchmarkReport struct {
 	Committed uint64
 	IPC       float64
 	// FUProfiles holds one measured idle profile per integer unit, ready
-	// for PolicyEnergy.
+	// for PolicyEnergy. A report owns its profiles (ClassProfiles too):
+	// changing them leaves the engine's cached results untouched.
 	FUProfiles []*IdleProfile
 	// ClassProfiles holds the measured idle profiles of every functional-
 	// unit class, keyed by class. The FUAGU entry appears only when the

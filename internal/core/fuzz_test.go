@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -74,6 +78,68 @@ func FuzzPolicyConfigJSON(f *testing.F) {
 			if term != pc {
 				t.Fatalf("term round trip drifted: %+v -> %q -> %+v", pc, pc.String(), term)
 			}
+		}
+	})
+}
+
+// FuzzIdleProfileOrder asserts that how a profile is built never shows in
+// what it reports: the same (length, count) multiset built by ascending
+// AddIdle, by AddIdle in arbitrary order, and as a struct literal yields
+// equal SortedLengths, bit-identical ProfileCounts under every policy, and
+// identical JSON. The fuzz bytes decode as a 4-byte active-cycle count
+// followed by 3-byte (length, count) pairs.
+func FuzzIdleProfileOrder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{100, 0, 0, 0, 5, 0, 2, 1, 0, 1})
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 3, 10, 0, 1, 2, 0, 7, 10, 0, 4, 255, 255, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var active uint64
+		if len(data) >= 4 {
+			active = uint64(binary.LittleEndian.Uint32(data))
+			data = data[4:]
+		}
+		literal := &IdleProfile{ActiveCycles: active, Intervals: map[int]uint64{}}
+		shuffled := NewIdleProfile()
+		shuffled.ActiveCycles = active
+		for ; len(data) >= 3; data = data[3:] {
+			l := 1 + int(binary.LittleEndian.Uint16(data))
+			c := 1 + uint64(data[2])
+			literal.Intervals[l] += c
+			shuffled.AddIdle(l, c)
+		}
+		keys := make([]int, 0, len(literal.Intervals))
+		for l := range literal.Intervals {
+			keys = append(keys, l)
+		}
+		sort.Ints(keys)
+		ascending := NewIdleProfile()
+		ascending.ActiveCycles = active
+		for _, l := range keys {
+			ascending.AddIdle(l, literal.Intervals[l])
+		}
+
+		want := profileCounts(t, ascending)
+		wantJSON, err := json.Marshal(ascending)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, p := range map[string]*IdleProfile{"shuffled": shuffled, "literal": literal} {
+			if got := p.SortedLengths(); !slices.Equal(got, keys) {
+				t.Errorf("%s SortedLengths = %v, want %v", name, got, keys)
+			}
+			if got := profileCounts(t, p); !sameCounts(got, want) {
+				t.Errorf("%s ProfileCounts = %+v, want %+v", name, got, want)
+			}
+			got, err := json.Marshal(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, wantJSON) {
+				t.Errorf("%s JSON = %s, want %s", name, got, wantJSON)
+			}
+		}
+		if !slices.Equal(ascending.SortedLengths(), keys) {
+			t.Errorf("ascending SortedLengths = %v, want %v", ascending.SortedLengths(), keys)
 		}
 	})
 }

@@ -10,23 +10,24 @@ import (
 // interval lengths observed between them. This is exactly the data the
 // paper's simulation methodology records ("precise statistics on the idle
 // times for each functional unit") and from which it computes total energy.
+// The simulator emits one per unit and the energy model scores it as is;
+// there is no other per-unit idle record.
 //
-// An IdleProfile is not safe for concurrent use: Lengths (and the
-// evaluation paths built on it) may restore the cached key order in place.
+// An IdleProfile is safe for concurrent reads: no read method writes to
+// it. Writes (AddIdle, Merge) need exclusive access.
 type IdleProfile struct {
 	ActiveCycles uint64
 	// Intervals maps idle interval length (cycles) to occurrence count.
-	// Populate it through AddIdle, which keeps the sorted-key mirror below
-	// in sync; a directly-assigned map (a decoded wire profile) is adopted
-	// on the next Lengths call.
+	// Populate it through AddIdle, which keeps the sorted key index below
+	// in step; a directly-assigned map (a decoded wire profile or a
+	// struct literal) is still read correctly, at the cost of a sort per
+	// SortedLengths call.
 	Intervals map[int]uint64
-	// lengths mirrors the keys of Intervals: AddIdle appends in O(1) and
-	// Lengths sorts on demand, so recording stays cheap while the
-	// evaluation paths that need ordered iteration (ProfileCounts
-	// accumulates float64 sums, which do not associate) never re-sort an
-	// already-ordered profile. unsorted marks a pending sort.
-	lengths  []int
-	unsorted bool
+	// lengths holds the keys of Intervals in ascending order. The
+	// evaluation paths that iterate intervals (ProfileCounts accumulates
+	// float64 sums, which do not associate) walk it, so an
+	// AddIdle-built profile is never sorted on the evaluation path.
+	lengths []int
 }
 
 // NewIdleProfile returns an empty profile ready for recording.
@@ -35,7 +36,7 @@ func NewIdleProfile() *IdleProfile {
 }
 
 // NewIdleProfileSized returns an empty profile preallocated for n distinct
-// interval lengths, for bulk conversions that know their size up front.
+// interval lengths, for bulk builds that know their size up front.
 func NewIdleProfileSized(n int) *IdleProfile {
 	return &IdleProfile{
 		Intervals: make(map[int]uint64, n),
@@ -43,7 +44,9 @@ func NewIdleProfileSized(n int) *IdleProfile {
 	}
 }
 
-// AddIdle records one idle interval of the given length.
+// AddIdle records count idle intervals of the given length. A new length
+// is inserted into the sorted key index in place; lengths fed in
+// ascending order only append.
 func (p *IdleProfile) AddIdle(length int, count uint64) {
 	if length <= 0 || count == 0 {
 		return
@@ -52,10 +55,14 @@ func (p *IdleProfile) AddIdle(length int, count uint64) {
 		p.Intervals = make(map[int]uint64)
 	}
 	if _, seen := p.Intervals[length]; !seen {
-		if !p.unsorted && len(p.lengths) > 0 && length < p.lengths[len(p.lengths)-1] {
-			p.unsorted = true
+		if n := len(p.lengths); n == 0 || p.lengths[n-1] < length {
+			p.lengths = append(p.lengths, length)
+		} else {
+			i := sort.SearchInts(p.lengths, length)
+			p.lengths = append(p.lengths, 0)
+			copy(p.lengths[i+1:], p.lengths[i:])
+			p.lengths[i] = length
 		}
-		p.lengths = append(p.lengths, length)
 	}
 	p.Intervals[length] += count
 }
@@ -103,28 +110,27 @@ func (p *IdleProfile) MeanIdle() float64 {
 // Merge accumulates o into p (used to aggregate multiple functional units).
 func (p *IdleProfile) Merge(o *IdleProfile) {
 	p.ActiveCycles += o.ActiveCycles
-	for l, c := range o.Intervals {
-		p.AddIdle(l, c)
+	for _, l := range o.SortedLengths() {
+		p.AddIdle(l, o.Intervals[l])
 	}
 }
 
-// Lengths returns the distinct interval lengths in ascending order. The
-// returned slice is shared with the profile; callers must not modify it.
-func (p *IdleProfile) Lengths() []int {
-	if len(p.lengths) != len(p.Intervals) {
-		// The Intervals map was populated directly (a decoded wire profile
-		// or a hand-built fixture) rather than through AddIdle: adopt it.
-		p.lengths = make([]int, 0, len(p.Intervals))
-		for l := range p.Intervals {
-			p.lengths = append(p.lengths, l)
-		}
-		p.unsorted = true
+// SortedLengths returns the distinct interval lengths in ascending order.
+// For a profile built through AddIdle it returns the profile's own index,
+// which callers must not modify. When the index does not cover the map (a
+// struct-literal or JSON-decoded profile) it returns a freshly sorted copy
+// of the keys and leaves the profile untouched, so concurrent readers never
+// race.
+func (p *IdleProfile) SortedLengths() []int {
+	if len(p.lengths) == len(p.Intervals) {
+		return p.lengths
 	}
-	if p.unsorted {
-		sort.Ints(p.lengths)
-		p.unsorted = false
+	ls := make([]int, 0, len(p.Intervals))
+	for l := range p.Intervals {
+		ls = append(ls, l)
 	}
-	return p.lengths
+	sort.Ints(ls)
+	return ls
 }
 
 // EvalProfile computes the equation-(3) energy of running policy pc over the
@@ -160,13 +166,13 @@ func (t Tech) ProfileCounts(pc PolicyConfig, alpha float64, prof *IdleProfile) (
 	case NoOverhead:
 		cc.Sleep = float64(prof.IdleCycles())
 	// The per-interval cases below accumulate float64 sums. FP addition does
-	// not associate, so they walk Lengths() — ascending order — rather than
-	// the Intervals map directly: map iteration order would make the low
-	// bits of the energy model (and everything hashed from it) vary run to
-	// run.
+	// not associate, so they walk SortedLengths() — ascending order — rather
+	// than the Intervals map directly: map iteration order would make the
+	// low bits of the energy model (and everything hashed from it) vary run
+	// to run.
 	case GradualSleep:
 		k := pc.slices(t, alpha)
-		for _, l := range prof.Lengths() {
+		for _, l := range prof.SortedLengths() {
 			ui, slp, trans := gradualSplit(float64(l), k)
 			nf := float64(prof.Intervals[l])
 			cc.UncontrolledIdle += nf * ui
@@ -175,7 +181,7 @@ func (t Tech) ProfileCounts(pc PolicyConfig, alpha float64, prof *IdleProfile) (
 		}
 	case OracleMinimal:
 		be := t.Breakeven(alpha)
-		for _, l := range prof.Lengths() {
+		for _, l := range prof.SortedLengths() {
 			nf := float64(prof.Intervals[l])
 			if float64(l) >= be {
 				cc.Sleep += nf * float64(l)
@@ -186,7 +192,7 @@ func (t Tech) ProfileCounts(pc PolicyConfig, alpha float64, prof *IdleProfile) (
 		}
 	case SleepTimeout:
 		T := pc.timeout(t, alpha)
-		for _, l := range prof.Lengths() {
+		for _, l := range prof.SortedLengths() {
 			ui, slp, trans := timeoutSplit(float64(l), T)
 			nf := float64(prof.Intervals[l])
 			cc.UncontrolledIdle += nf * ui

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -30,8 +32,8 @@ func TestIdleProfileBasics(t *testing.T) {
 	if got := p.MeanIdle(); !almostEqual(got, 20.0/3.0, 1e-12) {
 		t.Errorf("MeanIdle = %g", got)
 	}
-	if ls := p.Lengths(); len(ls) != 2 || ls[0] != 5 || ls[1] != 10 {
-		t.Errorf("Lengths = %v", ls)
+	if ls := p.SortedLengths(); len(ls) != 2 || ls[0] != 5 || ls[1] != 10 {
+		t.Errorf("SortedLengths = %v", ls)
 	}
 }
 
@@ -223,6 +225,83 @@ func TestLeakageFractionRisesWithP(t *testing.T) {
 				t.Fatalf("%v: leakage fraction %g out of [0,1]", pol, frac)
 			}
 			prev = frac
+		}
+	}
+}
+
+// allPolicies lists every policy ProfileCounts evaluates, each with its
+// default parameters.
+var allPolicies = []PolicyConfig{
+	{Policy: AlwaysActive}, {Policy: MaxSleep}, {Policy: NoOverhead},
+	{Policy: GradualSleep}, {Policy: OracleMinimal}, {Policy: SleepTimeout},
+}
+
+// profileCounts evaluates every policy over prof.
+func profileCounts(t testing.TB, prof *IdleProfile) []CycleCounts {
+	out := make([]CycleCounts, len(allPolicies))
+	for i, pc := range allPolicies {
+		cc, err := DefaultTech().ProfileCounts(pc, 0.5, prof)
+		if err != nil {
+			t.Error(err)
+		}
+		out[i] = cc
+	}
+	return out
+}
+
+// sameCounts reports whether two policy sweeps are bit-identical.
+func sameCounts(a, b []CycleCounts) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		for _, f := range [][2]float64{
+			{a[i].Active, b[i].Active}, {a[i].UncontrolledIdle, b[i].UncontrolledIdle},
+			{a[i].Sleep, b[i].Sleep}, {a[i].Transitions, b[i].Transitions},
+		} {
+			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestIdleProfileConcurrentReads scores, from eight goroutines at once, a
+// struct-literal profile (map only, no sorted index) and one built by
+// out-of-order AddIdle. Reads must not write to the profile — run under
+// -race — and every goroutine must see the counts of the same multiset
+// built in ascending order.
+func TestIdleProfileConcurrentReads(t *testing.T) {
+	intervals := map[int]uint64{40: 2, 3: 7, 900: 1, 12: 4, 1: 9, 150: 3}
+	literal := &IdleProfile{ActiveCycles: 500, Intervals: intervals}
+	shuffled := NewIdleProfile()
+	shuffled.ActiveCycles = 500
+	for _, l := range []int{900, 3, 40, 1, 150, 12} {
+		shuffled.AddIdle(l, intervals[l])
+	}
+	ascending := NewIdleProfile()
+	ascending.ActiveCycles = 500
+	for _, l := range []int{1, 3, 12, 40, 150, 900} {
+		ascending.AddIdle(l, intervals[l])
+	}
+	want := profileCounts(t, ascending)
+
+	got := make([][2][]CycleCounts, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = [2][]CycleCounts{profileCounts(t, literal), profileCounts(t, shuffled)}
+		}(g)
+	}
+	wg.Wait()
+	for g, pair := range got {
+		for i, name := range []string{"literal", "shuffled"} {
+			if !sameCounts(pair[i], want) {
+				t.Errorf("goroutine %d: %s profile counts %+v, want %+v", g, name, pair[i], want)
+			}
 		}
 	}
 }

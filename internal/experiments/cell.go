@@ -64,7 +64,7 @@ func (c Cell) mix() FUMix {
 // StudiedClasses returns the classes the cell accounts energy for, in
 // canonical (enum) order regardless of how Classes was spelled: the
 // explicit Classes list sorted, or the paper's single-pool default of
-// IntALU alone. Key, EvalCell, and PerClass all walk this order, so two
+// IntALU alone. Key, EvalCells, and PerClass all walk this order, so two
 // cells listing the same classes in different orders are one identity.
 func (c Cell) StudiedClasses() []fu.Class {
 	if len(c.Classes) == 0 {
@@ -419,10 +419,9 @@ func (r *Runner) storePut(key string, res CellResult) {
 
 // evalFromSuite applies the closed-form energy model for one cell over its
 // already-simulated benchmark suite: each studied class under its effective
-// policy and technology point, over the recorded idle profiles. The
-// conversions to energy-model form come from the runner's shared cache, so
-// policy/tech variants evaluated off one simulation never re-convert.
-func evalFromSuite(r *Runner, c Cell, suite map[string]pipeline.Result) (CellResult, error) {
+// policy and technology point, over the recorded idle profiles. Policy/tech
+// variants evaluated off one simulation all read its profiles in place.
+func evalFromSuite(c Cell, suite map[string]pipeline.Result) (CellResult, error) {
 	classes := c.StudiedClasses()
 	type acc struct {
 		rel, leak float64
@@ -433,26 +432,22 @@ func evalFromSuite(r *Runner, c Cell, suite map[string]pipeline.Result) (CellRes
 	var rel, leak, cyc float64
 	for _, name := range c.Benchmarks {
 		res := suite[name]
-		_, key, err := r.resolveKey(name, c.mix(), c.L2Latency, c.Window)
-		if err != nil {
-			return CellResult{}, err
-		}
 		var total core.Breakdown
 		var base float64
 		for i, cl := range classes {
-			profs := r.classProfiles(key, res, cl)
-			if len(profs) == 0 {
+			units := res.UnitsFor(cl)
+			if len(units) == 0 {
 				return CellResult{}, fmt.Errorf("cell: machine has no %s units to study", cl)
 			}
 			tech := c.TechFor(cl)
-			e := convertedEnergy(tech, c.PolicyFor(cl), c.Alpha, profs)
-			b := profileBase(tech, c.Alpha, len(profs), res.Cycles)
+			e := unitsEnergy(tech, c.PolicyFor(cl), c.Alpha, units)
+			b := profileBase(tech, c.Alpha, len(units), res.Cycles)
 			per[i].rel += e.Total() / b
 			per[i].leak += e.LeakageFraction()
-			if per[i].units != 0 && per[i].units != len(profs) {
+			if per[i].units != 0 && per[i].units != len(units) {
 				per[i].mixed = true
 			}
-			per[i].units = len(profs)
+			per[i].units = len(units)
 			total = total.Add(e)
 			base += b
 		}
@@ -478,49 +473,18 @@ func evalFromSuite(r *Runner, c Cell, suite map[string]pipeline.Result) (CellRes
 	return out, nil
 }
 
-// EvalCell evaluates one grid cell: it simulates (or re-uses from cache)
-// the cell's benchmark suite at its functional-unit mix, then applies the
-// closed-form energy model per studied class — each class under its
-// effective policy and technology point — over the measured per-class idle
-// profiles. The returned result's Index is zero; callers enumerating a
-// grid set it.
-func EvalCell(ctx context.Context, r *Runner, c Cell) (CellResult, error) {
-	if err := c.Validate(); err != nil {
-		return CellResult{}, err
-	}
-	// Durable tier first: a cell journaled by an earlier run (possibly a
-	// previous process) is served from disk without touching the simulator.
-	var key string
-	if r.store != nil {
-		key = c.Key()
-		if res, ok := r.storeGet(key); ok {
-			return res, nil
-		}
-	}
-	suite, err := r.SimSuiteMix(ctx, c.Benchmarks, c.mix(), c.L2Latency, c.Window)
-	if err != nil {
-		return CellResult{}, fmt.Errorf("cell fus=%d: %w", c.FUs, err)
-	}
-	out, err := evalFromSuite(r, c, suite)
-	if err != nil {
-		return CellResult{}, err
-	}
-	if r.store != nil {
-		r.storePut(key, out)
-	}
-	return out, nil
-}
-
-// EvalCells evaluates a batch of grid cells with shared-pass batching:
-// cells that share a simulation identity (SimKey — benchmark set, FU mix,
-// L2 latency, window) are grouped, each group's suite is simulated once,
-// and every cell in the group is then evaluated closed-form off the
-// recorded interval profiles through the runner's shared conversion cache.
-// Per-cell results are identical to calling EvalCell on each cell —
-// batching changes the work schedule, never the numbers. Results return in
-// input order with Index zero (callers enumerating a grid set it); every
-// cell is validated before any simulation is paid for. The durable store
-// tier is consulted and fed per cell, exactly as EvalCell does.
+// EvalCells evaluates a batch of grid cells — a single cell is a batch of
+// one. Each cell's benchmark suite is simulated (or re-used from cache) at
+// its functional-unit mix, then the closed-form energy model is applied per
+// studied class, each class under its effective policy and technology
+// point, over the measured per-class idle profiles. Cells that share a
+// simulation identity (SimKey — benchmark set, FU mix, L2 latency, window)
+// are grouped and each group's suite is simulated once; batching changes
+// the work schedule, never the numbers. Results return in input order with
+// Index zero (callers enumerating a grid set it); every cell is validated
+// before any simulation is paid for. The durable store is consulted before
+// a cell is computed and fed after: a cell journaled by an earlier run
+// (possibly a previous process) is served without touching the simulator.
 func EvalCells(ctx context.Context, r *Runner, cells []Cell) ([]CellResult, error) {
 	out := make([]CellResult, len(cells))
 	for i := range cells {
@@ -528,9 +492,10 @@ func EvalCells(ctx context.Context, r *Runner, cells []Cell) ([]CellResult, erro
 			return nil, err
 		}
 	}
-	// Serve what the durable tier already has, then group the rest by
+	// Serve what the durable tier already has, and group the rest by
 	// simulation identity, preserving first-appearance order.
-	remaining := make([]int, 0, len(cells))
+	groups := make(map[string][]int)
+	var order []string
 	for i := range cells {
 		if r.store != nil {
 			if res, ok := r.storeGet(cells[i].Key()); ok {
@@ -538,11 +503,6 @@ func EvalCells(ctx context.Context, r *Runner, cells []Cell) ([]CellResult, erro
 				continue
 			}
 		}
-		remaining = append(remaining, i)
-	}
-	groups := make(map[string][]int)
-	var order []string
-	for _, i := range remaining {
 		k := cells[i].SimKey()
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
@@ -557,7 +517,7 @@ func EvalCells(ctx context.Context, r *Runner, cells []Cell) ([]CellResult, erro
 			return nil, fmt.Errorf("cell fus=%d: %w", lead.FUs, err)
 		}
 		for _, i := range idxs {
-			res, err := evalFromSuite(r, cells[i], suite)
+			res, err := evalFromSuite(cells[i], suite)
 			if err != nil {
 				return nil, err
 			}
@@ -585,10 +545,11 @@ func RunSweepStream(ctx context.Context, r *Runner, g Grid, tech core.Tech, fn f
 		}
 	}
 	for i, c := range g.Cells(tech) {
-		res, err := EvalCell(ctx, r, c)
+		out, err := EvalCells(ctx, r, []Cell{c})
 		if err != nil {
 			return fmt.Errorf("sweep: %w", err)
 		}
+		res := out[0]
 		res.Index = i
 		if err := fn(res); err != nil {
 			return err

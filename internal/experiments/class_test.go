@@ -32,14 +32,14 @@ func TestUniformAssignmentReproducesSinglePool(t *testing.T) {
 	r := NewRunner(Options{Window: 20_000})
 	ctx := context.Background()
 
-	legacy, err := EvalCell(ctx, r, classCell())
+	legacy, err := evalOne(ctx, r, classCell())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	uniform := classCell()
 	uniform.Assignment = core.UniformAssignment(uniform.Policy)
-	got, err := EvalCell(ctx, r, uniform)
+	got, err := evalOne(ctx, r, uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestUniformAssignmentReproducesSinglePool(t *testing.T) {
 
 	multi := uniform
 	multi.Classes = []fu.Class{fu.IntALU, fu.Mult, fu.FPALU, fu.FPMult}
-	mres, err := EvalCell(ctx, r, multi)
+	mres, err := evalOne(ctx, r, multi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestPerClassAssignmentDiffers(t *testing.T) {
 	base.Classes = []fu.Class{fu.IntALU, fu.FPALU, fu.FPMult}
 	base.Policy = core.PolicyConfig{Policy: core.AlwaysActive}
 
-	uni, err := EvalCell(ctx, r, base)
+	uni, err := evalOne(ctx, r, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPerClassAssignmentDiffers(t *testing.T) {
 		fu.FPALU:  {Policy: core.MaxSleep},
 		fu.FPMult: {Policy: core.MaxSleep},
 	}
-	hres, err := EvalCell(ctx, r, het)
+	hres, err := evalOne(ctx, r, het)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestEvalCellDedicatedAGU(t *testing.T) {
 	c := classCell()
 	c.AGUs = 2
 	c.Classes = []fu.Class{fu.IntALU, fu.AGU}
-	res, err := EvalCell(context.Background(), r, c)
+	res, err := evalOne(context.Background(), r, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,8 +165,8 @@ func TestSuiteCancellationDrainsAndAggregates(t *testing.T) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.suites) != 0 || len(r.runs) != 0 {
-		t.Errorf("canceled run left cache entries: %d suites, %d runs", len(r.suites), len(r.runs))
+	if len(r.runs) != 0 {
+		t.Errorf("canceled run left cache entries: %d runs", len(r.runs))
 	}
 }
 

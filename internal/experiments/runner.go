@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"github.com/archsim/fusleep/internal/core"
-	"github.com/archsim/fusleep/internal/fu"
 	"github.com/archsim/fusleep/internal/pipeline"
 	"github.com/archsim/fusleep/internal/workload"
 )
@@ -100,23 +99,12 @@ type Runner struct {
 	mu            sync.Mutex
 	runs          map[runKey]pipeline.Result
 	pending       map[runKey]*inflight
-	suites        map[int]map[string]pipeline.Result
-	profs         map[profileKey][]*core.IdleProfile
 	simCount      uint64 // completed pipeline runs, for tests and Stats
 	cacheHits     uint64 // Sim requests served from the result cache
 	inflightJoins uint64 // Sim requests that joined an in-progress identical run
-	profileBuilds uint64 // recorded-profile -> energy-model conversions performed
-	profileReuses uint64 // conversions served from the shared profile cache
-	storeHits     uint64 // EvalCell requests served from the durable store
+	storeHits     uint64 // cells served from the durable store
 	storePuts     uint64 // cell results appended to the durable store
 	storeErrs     uint64 // durable-store reads/writes that failed (and were absorbed)
-}
-
-// profileKey identifies one converted per-class profile set in the runner's
-// conversion cache: the simulation it came from plus the studied class.
-type profileKey struct {
-	run   runKey
-	class fu.Class
 }
 
 // RunnerStats is a snapshot of the runner's simulation accounting: how many
@@ -128,12 +116,13 @@ type RunnerStats struct {
 	Simulations   uint64 `json:"simulations"`
 	CacheHits     uint64 `json:"cacheHits"`
 	InflightJoins uint64 `json:"inflightJoins"`
-	// ProfileBuilds counts conversions of recorded per-unit interval
-	// profiles into energy-model form; ProfileReuses counts cell
-	// evaluations that shared an already-converted set instead of
-	// rebuilding it. Policy/tech variants batched over one simulation show
-	// up here as one build and N-1 reuses per (run, class).
+	// ProfileBuilds and ProfileReuses always read 0: the simulator
+	// records profiles in the energy model's own form, so none is ever
+	// converted.
+	//
+	// Deprecated: always 0.
 	ProfileBuilds uint64 `json:"profileBuilds,omitempty"`
+	// Deprecated: always 0; see ProfileBuilds.
 	ProfileReuses uint64 `json:"profileReuses,omitempty"`
 	// StoreHits counts whole cells served from the durable result store
 	// (zero when no store is configured); StorePuts counts results
@@ -160,13 +149,12 @@ func (r *Runner) Stats() RunnerStats {
 	defer r.mu.Unlock()
 	return RunnerStats{
 		Simulations: r.simCount, CacheHits: r.cacheHits, InflightJoins: r.inflightJoins,
-		ProfileBuilds: r.profileBuilds, ProfileReuses: r.profileReuses,
 		StoreHits: r.storeHits, StorePuts: r.storePuts, StoreErrors: r.storeErrs,
 	}
 }
 
 // SetCellStore attaches a durable cell-result store. It must be called
-// before the runner serves requests (engine construction time); EvalCell
+// before the runner serves requests (engine construction time); EvalCells
 // then consults the store before simulating and journals fresh results
 // after.
 func (r *Runner) SetCellStore(s CellStore) { r.store = s }
@@ -188,8 +176,6 @@ func NewRunner(opt Options) *Runner {
 		sem:     make(chan struct{}, limit),
 		runs:    make(map[runKey]pipeline.Result),
 		pending: make(map[runKey]*inflight),
-		suites:  make(map[int]map[string]pipeline.Result),
-		profs:   make(map[profileKey][]*core.IdleProfile),
 	}
 }
 
@@ -319,39 +305,6 @@ func (r *Runner) resolveKey(bench string, mix FUMix, l2 int, window uint64) (wor
 	return spec, runKey{bench: spec.Name, mix: mix, l2: l2, window: window}, nil
 }
 
-// classProfiles returns the energy-model view of one simulated run's
-// studied class, converting the recorded per-unit interval profiles at most
-// once per (simulation, class): every cell evaluated off the same
-// simulation shares the converted set. Sharing is safe because the
-// profiles are born sorted (coreProfiles feeds AddIdle in ascending order)
-// and the evaluation paths only read them. With the cache disabled each
-// call converts afresh.
-func (r *Runner) classProfiles(key runKey, res pipeline.Result, cl fu.Class) []*core.IdleProfile {
-	pk := profileKey{run: key, class: cl}
-	if !r.opt.DisableCache {
-		r.mu.Lock()
-		if ps, ok := r.profs[pk]; ok {
-			r.profileReuses++
-			r.mu.Unlock()
-			return ps
-		}
-		r.mu.Unlock()
-	}
-	ps := coreProfiles(res.UnitsFor(cl))
-	r.mu.Lock()
-	r.profileBuilds++
-	if !r.opt.DisableCache {
-		if got, ok := r.profs[pk]; ok {
-			// Lost a build race; adopt the winner so sharing stays maximal.
-			ps = got
-		} else {
-			r.profs[pk] = ps
-		}
-	}
-	r.mu.Unlock()
-	return ps
-}
-
 // runBounded runs one simulation under the concurrency semaphore.
 func (r *Runner) runBounded(ctx context.Context, spec workload.Spec, mix FUMix, l2 int, window uint64) (pipeline.Result, error) {
 	//fusleepvet:nondet-ok semaphore-vs-cancel race: the simulation itself is seeded and cancellation only picks which error surfaces
@@ -416,56 +369,16 @@ func (r *Runner) SimSuiteMix(ctx context.Context, benchmarks []string, mix FUMix
 }
 
 // suite returns the per-benchmark results at the paper's Table 3 FU counts
-// for the given L2 latency, running them in parallel on first use.
+// for the given L2 latency, served from the per-run cache after first use.
 func (r *Runner) suite(ctx context.Context, l2 int) (map[string]pipeline.Result, error) {
-	r.mu.Lock()
-	got, ok := r.suites[l2]
-	r.mu.Unlock()
-	if ok {
-		return got, nil
-	}
-	results, err := r.SimSuite(ctx, workload.Names(), 0, l2, r.opt.Window)
-	if err != nil {
-		return nil, err
-	}
-	if !r.opt.DisableCache {
-		r.mu.Lock()
-		r.suites[l2] = results
-		r.mu.Unlock()
-	}
-	return results, nil
+	return r.SimSuite(ctx, workload.Names(), 0, l2, r.opt.Window)
 }
 
-// coreProfiles converts measured per-unit activity into energy-model
-// profiles. This runs once per evaluation, so it feeds AddIdle in
-// ascending length order (the simulator records each unit's sorted
-// lengths once, at run end): the resulting profile is born ordered and
-// the evaluation loops over it never sort.
-func coreProfiles(fus []pipeline.FUProfile) []*core.IdleProfile {
-	out := make([]*core.IdleProfile, len(fus))
-	for i, fu := range fus {
-		p := core.NewIdleProfileSized(len(fu.Intervals))
-		p.ActiveCycles = fu.ActiveCycles
-		for _, l := range fu.SortedLengths() {
-			p.AddIdle(l, fu.Intervals[l])
-		}
-		out[i] = p
-	}
-	return out
-}
-
-// profileEnergy sums a policy's energy over the given unit profiles.
-func profileEnergy(tech core.Tech, pc core.PolicyConfig, alpha float64, fus []pipeline.FUProfile) core.Breakdown {
-	return convertedEnergy(tech, pc, alpha, coreProfiles(fus))
-}
-
-// convertedEnergy sums a policy's energy over already-converted unit
-// profiles — the closed-form evaluation batched cells run against the
-// runner's shared conversion cache.
-func convertedEnergy(tech core.Tech, pc core.PolicyConfig, alpha float64, profs []*core.IdleProfile) core.Breakdown {
+// unitsEnergy sums a policy's energy over the given unit profiles.
+func unitsEnergy(tech core.Tech, pc core.PolicyConfig, alpha float64, units []core.IdleProfile) core.Breakdown {
 	var total core.Breakdown
-	for _, prof := range profs {
-		total = total.Add(tech.EvalProfile(pc, alpha, prof))
+	for i := range units {
+		total = total.Add(tech.EvalProfile(pc, alpha, &units[i]))
 	}
 	return total
 }
@@ -479,7 +392,7 @@ func profileBase(tech core.Tech, alpha float64, n int, cycles uint64) float64 {
 // unitEnergy sums a policy's energy over the studied integer units of one
 // run (the single-pool view).
 func unitEnergy(tech core.Tech, pc core.PolicyConfig, alpha float64, res pipeline.Result) core.Breakdown {
-	return profileEnergy(tech, pc, alpha, res.FUs)
+	return unitsEnergy(tech, pc, alpha, res.FUs)
 }
 
 // baseEnergy is the normalization of Figure 8: the energy if every unit

@@ -300,8 +300,8 @@ func IdleByBenchmark(ctx context.Context, r *Runner) ([]report.Renderable, error
 	for _, spec := range workload.Benchmarks {
 		res := suite[spec.Name]
 		merged := core.NewIdleProfile()
-		for _, p := range coreProfiles(res.FUs) {
-			merged.Merge(p)
+		for i := range res.FUs {
+			merged.Merge(&res.FUs[i])
 		}
 		totalFUCycles := float64(res.Cycles) * float64(len(res.FUs))
 		idleFrac := float64(merged.IdleCycles()) / totalFUCycles

@@ -19,7 +19,7 @@
 //     point), then applies successive halving: each round keeps the
 //     top 1/Eta candidates and refines their parameter neighborhoods by
 //     geometric bisection. Probes evaluate through the caller-supplied
-//     Evaluator — the engine routes them through experiments.EvalCell, so
+//     Evaluator — the engine routes them through experiments.EvalCells, so
 //     repeated probes deduplicate through the simulation cache for free —
 //     and run in bounded parallel within a round.
 //   - A Pareto-frontier accumulator (Frontier) keeps every non-dominated

@@ -14,7 +14,7 @@ import (
 )
 
 // Evaluator scores one candidate cell. The engine supplies its cached cell
-// runner (experiments.EvalCell through the shared simulation cache); the
+// runner (experiments.EvalCells through the shared simulation cache); the
 // sweep service supplies an evaluator that routes through its cell
 // dispatch path. Evaluators must be deterministic for the tuner to be.
 type Evaluator func(ctx context.Context, c experiments.Cell) (experiments.CellResult, error)

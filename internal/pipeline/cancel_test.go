@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/archsim/fusleep/internal/core"
 	"github.com/archsim/fusleep/internal/isa"
 )
 
@@ -52,7 +53,7 @@ func TestCancelMidRunFlushesIntervalMass(t *testing.T) {
 		t.Fatalf("aborted run committed %d of %d: not mid-run", res.Committed, full.Committed)
 	}
 
-	checkMass := func(name string, units []FUProfile) {
+	checkMass := func(name string, units []core.IdleProfile) {
 		t.Helper()
 		for i, u := range units {
 			if got := u.ActiveCycles + u.IdleCycles(); got != res.Cycles {

@@ -1,6 +1,10 @@
 package pipeline
 
-import "sort"
+import (
+	"sort"
+
+	"github.com/archsim/fusleep/internal/core"
+)
 
 // classPool models one functional-unit class of the machine. Operations are
 // allocated round-robin across the class's units, as in the paper's
@@ -128,25 +132,27 @@ func (p *classPool) flush(end uint64) {
 }
 
 // profiles snapshots the pool's per-unit activity into self-contained
-// FUProfiles (interval maps copied), recording each unit's sorted length
-// mirror once here — the cold path — so evaluation never sorts.
-func (p *classPool) profiles() []FUProfile {
-	out := make([]FUProfile, len(p.busyUntil))
+// energy-model profiles (interval maps copied). Each unit's lengths are fed
+// to AddIdle in ascending order — the short array, then the sorted
+// long-tail keys — so the profiles are born sorted and evaluation never
+// sorts.
+func (p *classPool) profiles() []core.IdleProfile {
+	out := make([]core.IdleProfile, len(p.busyUntil))
 	for i := range out {
-		iv := make(map[int]uint64, len(p.intervals[i]))
-		ls := make([]int, 0, len(p.intervals[i]))
-		for l, n := range p.short[i*shortRunCap : (i+1)*shortRunCap] {
-			if n > 0 {
-				iv[l] = n
-				ls = append(ls, l)
-			}
+		prof := core.NewIdleProfileSized(len(p.intervals[i]))
+		prof.ActiveCycles = p.active[i]
+		for l, c := range p.short[i*shortRunCap : (i+1)*shortRunCap] {
+			prof.AddIdle(l, c)
 		}
-		for l, n := range p.intervals[i] {
-			iv[l] = n
-			ls = append(ls, l)
+		long := make([]int, 0, len(p.intervals[i]))
+		for l := range p.intervals[i] {
+			long = append(long, l)
 		}
-		sort.Ints(ls)
-		out[i] = FUProfile{ActiveCycles: p.active[i], Intervals: iv, Lengths: ls}
+		sort.Ints(long)
+		for _, l := range long {
+			prof.AddIdle(l, p.intervals[i][l])
+		}
+		out[i] = *prof
 	}
 	return out
 }

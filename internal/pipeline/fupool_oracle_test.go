@@ -1,5 +1,7 @@
 package pipeline
 
+import "github.com/archsim/fusleep/internal/core"
+
 // oraclePool is the per-cycle busy/idle recorder that transition-driven
 // recording replaced: tick scans every unit every cycle and accumulates
 // active cycles and idle-run lengths incrementally. It is kept verbatim as
@@ -73,7 +75,7 @@ func (p *oraclePool) flush() {
 
 // profiles matches classPool.profiles for comparison. The oracle keeps
 // every run in the map, so the delegate's short histogram is all zeros.
-func (p *oraclePool) profiles() []FUProfile {
+func (p *oraclePool) profiles() []core.IdleProfile {
 	cp := &classPool{
 		busyUntil: p.busyUntil,
 		active:    p.active,

@@ -9,7 +9,7 @@ import (
 
 	"github.com/archsim/fusleep/internal/bpred"
 	"github.com/archsim/fusleep/internal/cache"
-	"github.com/archsim/fusleep/internal/pipeline"
+	"github.com/archsim/fusleep/internal/core"
 	"github.com/archsim/fusleep/internal/tlb"
 )
 
@@ -23,7 +23,7 @@ type legacyResult struct {
 	Committed uint64
 	Fetched   uint64
 
-	FUs []pipeline.FUProfile
+	FUs []core.IdleProfile
 
 	Bpred bpred.Stats
 	L1I   cache.Stats

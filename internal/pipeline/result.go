@@ -1,68 +1,18 @@
 package pipeline
 
 import (
-	"sort"
-
 	"github.com/archsim/fusleep/internal/bpred"
 	"github.com/archsim/fusleep/internal/cache"
+	"github.com/archsim/fusleep/internal/core"
 	"github.com/archsim/fusleep/internal/fu"
 	"github.com/archsim/fusleep/internal/tlb"
 )
 
-// FUProfile is the measured activity of one functional unit: the raw
-// material of the paper's energy accounting (Section 4).
-type FUProfile struct {
-	// ActiveCycles is the number of cycles the unit executed an operation.
-	ActiveCycles uint64
-	// Intervals is the multiset of idle interval lengths (length -> count).
-	Intervals map[int]uint64
-	// Lengths holds the keys of Intervals in ascending order, recorded once
-	// at simulation end so the energy-model consumers that must iterate
-	// intervals deterministically (float sums do not associate) never sort
-	// on their per-evaluation path. It is derivable from Intervals and
-	// deliberately kept off the wire.
-	Lengths []int `json:"-"`
-}
-
-// IdleCycles returns the unit's total idle cycles.
-func (p FUProfile) IdleCycles() uint64 {
-	var n uint64
-	for l, c := range p.Intervals {
-		n += uint64(l) * c
-	}
-	return n
-}
-
-// SortedLengths returns the distinct idle interval lengths in ascending
-// order, preferring the mirror recorded at simulation end; a profile that
-// arrived without one (decoded from the wire, or hand-built in tests)
-// derives it on the spot. The returned slice must not be modified.
-func (p FUProfile) SortedLengths() []int {
-	if len(p.Lengths) == len(p.Intervals) {
-		return p.Lengths
-	}
-	ls := make([]int, 0, len(p.Intervals))
-	for l := range p.Intervals {
-		ls = append(ls, l)
-	}
-	sort.Ints(ls)
-	return ls
-}
-
-// Utilization returns active/(active+idle), or 0 when empty.
-func (p FUProfile) Utilization() float64 {
-	tot := p.ActiveCycles + p.IdleCycles()
-	if tot == 0 {
-		return 0
-	}
-	return float64(p.ActiveCycles) / float64(tot)
-}
-
 // ClassProfile is the measured activity of one functional-unit class: one
 // profile per unit of the class's pool.
 type ClassProfile struct {
-	Class fu.Class    `json:"class"`
-	Units []FUProfile `json:"units"`
+	Class fu.Class           `json:"class"`
+	Units []core.IdleProfile `json:"units"`
 }
 
 // Result summarizes one simulation run.
@@ -74,7 +24,7 @@ type Result struct {
 	// FUs holds one profile per integer functional unit — the legacy view
 	// of the IntALU class, kept so single-pool consumers and the
 	// pre-refactor golden captures read unchanged.
-	FUs []FUProfile
+	FUs []core.IdleProfile
 
 	Bpred bpred.Stats
 	L1I   cache.Stats
@@ -100,7 +50,7 @@ type Result struct {
 
 // UnitsFor returns the class's per-unit profiles, or nil when the class has
 // no pool of its own (AGU on a shared-port machine).
-func (r Result) UnitsFor(c fu.Class) []FUProfile {
+func (r Result) UnitsFor(c fu.Class) []core.IdleProfile {
 	for _, cp := range r.Classes {
 		if cp.Class == c {
 			return cp.Units
@@ -132,8 +82,8 @@ func (r Result) MeanFUUtilization() float64 {
 		return 0
 	}
 	var s float64
-	for _, f := range r.FUs {
-		s += f.Utilization()
+	for i := range r.FUs {
+		s += r.FUs[i].Usage()
 	}
 	return s / float64(len(r.FUs))
 }

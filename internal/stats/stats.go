@@ -1,77 +1,12 @@
-// Package stats provides the measurement primitives of the study: per-cycle
-// busy/idle run recording for functional units and logarithmic histograms
-// for the idle-interval distribution of Figure 7.
+// Package stats provides the summary primitives of the study: logarithmic
+// histograms and cumulative weight fractions over recorded idle-interval
+// multisets (the distribution of Figure 7), and weighted quantiles.
 package stats
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
-
-// RunRecorder observes one functional unit cycle by cycle and accumulates
-// its activity profile: total active cycles and the multiset of idle
-// interval lengths. Call Tick once per simulated cycle and Flush at the end
-// of the run to close a trailing idle interval.
-type RunRecorder struct {
-	active    uint64
-	idleRun   int
-	intervals map[int]uint64
-}
-
-// NewRunRecorder returns an empty recorder.
-func NewRunRecorder() *RunRecorder {
-	return &RunRecorder{intervals: make(map[int]uint64)}
-}
-
-// Tick records one cycle of observation.
-func (r *RunRecorder) Tick(active bool) {
-	if active {
-		r.active++
-		if r.idleRun > 0 {
-			r.intervals[r.idleRun]++
-			r.idleRun = 0
-		}
-		return
-	}
-	r.idleRun++
-}
-
-// Flush closes any open idle interval; call once when the run ends.
-func (r *RunRecorder) Flush() {
-	if r.idleRun > 0 {
-		r.intervals[r.idleRun]++
-		r.idleRun = 0
-	}
-}
-
-// ActiveCycles returns the number of cycles the unit computed.
-func (r *RunRecorder) ActiveCycles() uint64 { return r.active }
-
-// Intervals returns the recorded idle intervals (length -> count). The
-// returned map is the recorder's own; callers must not mutate it.
-func (r *RunRecorder) Intervals() map[int]uint64 { return r.intervals }
-
-// IdleCycles returns the total recorded idle cycles.
-func (r *RunRecorder) IdleCycles() uint64 {
-	var n uint64
-	for l, c := range r.intervals {
-		n += uint64(l) * c
-	}
-	return n
-}
-
-// TotalCycles returns active plus idle cycles recorded (after Flush).
-func (r *RunRecorder) TotalCycles() uint64 { return r.active + r.IdleCycles() }
-
-// IdleFraction returns idle/total, or 0 when nothing was recorded.
-func (r *RunRecorder) IdleFraction() float64 {
-	tot := r.TotalCycles()
-	if tot == 0 {
-		return 0
-	}
-	return float64(r.IdleCycles()) / float64(tot)
-}
 
 // Log2Bucket is one bin of a logarithmic histogram covering [Low, High].
 type Log2Bucket struct {
@@ -206,14 +141,4 @@ func CumulativeWeightFraction(intervals map[int]uint64, v int) float64 {
 		return 0
 	}
 	return float64(acc) / float64(tot)
-}
-
-// SortedLengths returns the distinct keys of an interval multiset ascending.
-func SortedLengths(intervals map[int]uint64) []int {
-	out := make([]int, 0, len(intervals))
-	for l := range intervals {
-		out = append(out, l)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -3,76 +3,7 @@ package stats
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestRunRecorderBasics(t *testing.T) {
-	r := NewRunRecorder()
-	for _, a := range []bool{true, false, false, true, false, true, true} {
-		r.Tick(a)
-	}
-	r.Flush()
-	if r.ActiveCycles() != 4 {
-		t.Errorf("active = %d, want 4", r.ActiveCycles())
-	}
-	if r.IdleCycles() != 3 {
-		t.Errorf("idle = %d, want 3", r.IdleCycles())
-	}
-	if r.Intervals()[2] != 1 || r.Intervals()[1] != 1 {
-		t.Errorf("intervals = %v", r.Intervals())
-	}
-	if r.TotalCycles() != 7 {
-		t.Errorf("total = %d", r.TotalCycles())
-	}
-	if f := r.IdleFraction(); f != 3.0/7.0 {
-		t.Errorf("idle fraction = %g", f)
-	}
-}
-
-func TestRunRecorderTrailingIdle(t *testing.T) {
-	r := NewRunRecorder()
-	r.Tick(true)
-	r.Tick(false)
-	r.Tick(false)
-	// Without Flush the trailing run is invisible...
-	if r.IdleCycles() != 0 {
-		t.Error("open interval should not be counted before Flush")
-	}
-	r.Flush()
-	if r.Intervals()[2] != 1 {
-		t.Errorf("trailing interval missing: %v", r.Intervals())
-	}
-	// Repeated Flush is harmless.
-	r.Flush()
-	if r.IdleCycles() != 2 {
-		t.Errorf("double Flush corrupted state: %d", r.IdleCycles())
-	}
-}
-
-func TestRunRecorderEmpty(t *testing.T) {
-	r := NewRunRecorder()
-	r.Flush()
-	if r.IdleFraction() != 0 || r.TotalCycles() != 0 {
-		t.Error("empty recorder should be zero")
-	}
-}
-
-func TestRunRecorderConservation(t *testing.T) {
-	// Active + idle cycles always equals ticks, for random streams.
-	f := func(seed int64, n uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := NewRunRecorder()
-		ticks := int(n%2000) + 1
-		for i := 0; i < ticks; i++ {
-			r.Tick(rng.Float64() < 0.5)
-		}
-		r.Flush()
-		return r.TotalCycles() == uint64(ticks)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestLog2HistogramBuckets(t *testing.T) {
 	h := MustNewLog2Histogram(8192)
@@ -155,30 +86,23 @@ func TestCumulativeWeightFraction(t *testing.T) {
 	}
 }
 
-func TestSortedLengths(t *testing.T) {
-	m := map[int]uint64{9: 1, 2: 1, 5: 1}
-	got := SortedLengths(m)
-	if len(got) != 3 || got[0] != 2 || got[1] != 5 || got[2] != 9 {
-		t.Errorf("sorted = %v", got)
-	}
-}
-
 func TestHistogramMatchesRecorder(t *testing.T) {
-	// Feeding a recorder's intervals into the histogram conserves weight.
+	// Feeding a recorded interval multiset into the histogram conserves
+	// weight and count.
 	rng := rand.New(rand.NewSource(5))
-	r := NewRunRecorder()
-	for i := 0; i < 10000; i++ {
-		r.Tick(rng.Float64() < 0.3)
-	}
-	r.Flush()
-	h := MustNewLog2Histogram(8192)
-	h.AddIntervals(r.Intervals())
-	if h.TotalWeight() != r.IdleCycles() {
-		t.Errorf("histogram weight %d != recorder idle %d", h.TotalWeight(), r.IdleCycles())
-	}
-	var n uint64
-	for _, c := range r.Intervals() {
+	intervals := map[int]uint64{}
+	var idle, n uint64
+	for i := 0; i < 2000; i++ {
+		l := 1 + rng.Intn(20000)
+		c := uint64(1 + rng.Intn(5))
+		intervals[l] += c
+		idle += uint64(l) * c
 		n += c
+	}
+	h := MustNewLog2Histogram(8192)
+	h.AddIntervals(intervals)
+	if h.TotalWeight() != idle {
+		t.Errorf("histogram weight %d != recorded idle %d", h.TotalWeight(), idle)
 	}
 	if h.TotalCount() != n {
 		t.Errorf("histogram count %d != interval count %d", h.TotalCount(), n)

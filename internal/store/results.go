@@ -118,7 +118,7 @@ func (s *ResultStore) CellBytes(key string) ([]byte, bool) {
 
 // GetCell returns the journaled result for a cell key, decoded. The
 // stored bytes decode into exactly the CellResult that was computed
-// (Index zeroed, as EvalCell returns it), so a served result is
+// (Index zeroed, as EvalCells returns it), so a served result is
 // byte-identical to a recomputed one when re-encoded. It counts a hit,
 // as ServeCell does.
 func (s *ResultStore) GetCell(key string) (experiments.CellResult, bool, error) {
