@@ -185,8 +185,8 @@ func main() {
 		}
 	}
 
-	// The daemon journals results at one site, the coordinator's result
-	// hook, so the engine gets no store of its own.
+	// The result store goes only to the server: it is checked at dispatch
+	// and written at one site, the coordinator's result hook.
 	cfg := server.Config{
 		Engine: fusleep.NewEngine(
 			fusleep.WithWindow(*window),

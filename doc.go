@@ -59,12 +59,14 @@
 //	})
 //
 // cmd/fusleepd serves these sweeps over HTTP as a long-lived daemon: grids
-// are submitted as JSON, expanded into cells, and fed through a sharded,
-// bounded job queue (cells route to worker shards by Cell.Key, so identical
-// cells — across requests and clients — deduplicate through the engine's
-// simulation cache); per-cell results stream back as NDJSON while the sweep
-// runs. See the internal/server package comment for the endpoint contract
-// and examples/sweepservice for a complete client.
+// are submitted as JSON and expanded into cells. Each cell is checked once
+// against the daemon's result store at dispatch; any other cell goes to a
+// fleet coordinator with in-process workers, which routes it by
+// Cell.SimKey, so cells that share a simulation land on one worker and
+// identical cells — across requests and clients — join one evaluation.
+// Per-cell results stream back as NDJSON while the sweep runs. See the
+// internal/server package comment for the endpoint contract and
+// examples/sweepservice for a complete client.
 //
 // # Per-class configuration
 //
@@ -133,8 +135,8 @@
 // with its Pareto and incumbent status — in deterministic evaluation
 // order. TuneArtifacts renders a result as the usual artifacts. The same
 // search runs from the command line (cmd/tune) and as a daemon endpoint
-// (POST /v1/optimize on fusleepd, where tuner probes route through the
-// same sharded queue as sweep cells and dedupe against them).
+// (POST /v1/optimize on fusleepd, where tuner probes take the same
+// dispatch path as sweep cells and dedupe against them).
 //
 // # Artifacts and renderers
 //

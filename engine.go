@@ -76,13 +76,6 @@ func Formats() []string { return report.Formats() }
 // benchmarks, alpha 0.5, 12-cycle L2, the engine's window).
 type Grid = experiments.Grid
 
-// CellStore is a durable, content-addressed cell-result store keyed by
-// Cell.Key: the engine consults it before recomputing a cell and journals
-// fresh results to it, so completed work survives process crashes.
-// internal/store provides the journal-backed implementation; attach one
-// with WithResultStore.
-type CellStore = experiments.CellStore
-
 // CellError is a contained cell-evaluation failure: the cell's identity
 // plus a transient/panicked/timed-out classification that retry policies
 // act on.
@@ -103,7 +96,6 @@ type Engine struct {
 	tech       Tech
 	classTechs map[FUClass]Tech
 	cache      bool
-	store      CellStore
 	runner     *experiments.Runner
 }
 
@@ -168,13 +160,14 @@ func WithClassTechs(m map[FUClass]Tech) Option {
 	}
 }
 
-// WithResultStore attaches a durable cell-result store (see CellStore):
-// cell evaluations consult it before simulating and journal fresh results
-// after, making completed sweep work crash-safe and shareable across
-// restarts. Nil is ignored.
-func WithResultStore(s CellStore) Option {
-	return func(e *Engine) { e.store = s }
-}
+// WithResultStore does nothing: the engine has no store tier. A daemon
+// checks its result store once, at dispatch, and writes it from the
+// coordinator's result hook, so pass the store to server.Config.Results.
+// The option remains only because the benchmark's frozen code still calls
+// it, and goes with the next benchmark change.
+//
+// Deprecated: a no-op; pass the store to server.Config.Results.
+func WithResultStore(any) Option { return func(*Engine) {} }
 
 // NewEngine builds an engine with the given options.
 func NewEngine(opts ...Option) *Engine {
@@ -193,9 +186,6 @@ func NewEngine(opts ...Option) *Engine {
 		Parallel:     e.parallel,
 		DisableCache: !e.cache,
 	})
-	if e.store != nil {
-		e.runner.SetCellStore(e.store)
-	}
 	return e
 }
 
@@ -356,8 +346,10 @@ func (e *Engine) Sweep(ctx context.Context, g Grid) ([]Artifact, error) {
 
 // Cell is one fully-resolved sweep grid point: a policy evaluated at one
 // technology point and FU count over a fixed benchmark set. Cell.Key()
-// returns a stable configuration hash, so services can shard and dedupe
-// identical cells.
+// returns a stable configuration hash, so services can dedupe identical
+// cells and serve them from a result store; Cell.SimKey() names the
+// simulation a cell shares with others, so a service routes those cells to
+// one worker.
 type Cell = experiments.Cell
 
 // CellResult is one completed sweep cell: its identity plus the

@@ -1,6 +1,6 @@
 // Package ctxflow enforces context propagation through the long-running
-// entry points of the suite. Sweeps, tuner searches, and sharded daemon
-// jobs are cancelled through context; a call site that silently swaps in
+// entry points of the suite. Sweeps, tuner searches, and daemon jobs are
+// cancelled through context; a call site that silently swaps in
 // context.Background() detaches the whole subtree from cancellation, which
 // is how runaway sweep jobs survive a daemon shutdown.
 //

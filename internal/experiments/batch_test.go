@@ -114,42 +114,6 @@ func TestEvalCellsGroupsByMix(t *testing.T) {
 	}
 }
 
-// TestEvalCellsServesFromStore seeds the durable store with one variant's
-// result and checks EvalCells serves it without re-simulating it, while
-// still batching the remaining variants into one pass.
-func TestEvalCellsServesFromStore(t *testing.T) {
-	cells := batchVariants(t)
-	ctx := context.Background()
-
-	seedRunner := NewRunner(Options{Window: 20_000})
-	seeded, err := evalOne(ctx, seedRunner, cells[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	store := memCellStore{cells[2].Key(): seeded}
-	r := NewRunner(Options{Window: 20_000})
-	r.SetCellStore(store)
-	got, err := EvalCells(ctx, r, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := r.Stats()
-	if stats.StoreHits != 1 {
-		t.Errorf("store hits = %d, want 1", stats.StoreHits)
-	}
-	if stats.Simulations != 1 {
-		t.Errorf("simulations = %d, want 1 shared pass for the unseeded variants", stats.Simulations)
-	}
-	if !reflect.DeepEqual(got[2], seeded) {
-		t.Errorf("stored variant not served verbatim:\n got %+v\nwant %+v", got[2], seeded)
-	}
-	// Freshly journaled results cover the remaining variants.
-	if want := uint64(len(cells) - 1); stats.StorePuts != want {
-		t.Errorf("store puts = %d, want %d", stats.StorePuts, want)
-	}
-}
-
 // evalOne evaluates a single cell as a batch of one.
 func evalOne(ctx context.Context, r *Runner, c Cell) (CellResult, error) {
 	out, err := EvalCells(ctx, r, []Cell{c})
@@ -157,17 +121,4 @@ func evalOne(ctx context.Context, r *Runner, c Cell) (CellResult, error) {
 		return CellResult{}, err
 	}
 	return out[0], nil
-}
-
-// memCellStore is a trivial in-memory CellStore for tests.
-type memCellStore map[string]CellResult
-
-func (m memCellStore) GetCell(key string) (CellResult, bool, error) {
-	res, ok := m[key]
-	return res, ok, nil
-}
-
-func (m memCellStore) PutCell(key string, res CellResult) error {
-	m[key] = res
-	return nil
 }

@@ -382,41 +382,6 @@ func (c Cell) Validate() error {
 	return nil
 }
 
-// storeGet consults the durable cell-result tier, absorbing store errors
-// into the runner's accounting: a broken disk degrades to recomputation,
-// never to a failed sweep. It returns ok=false when no store is configured.
-func (r *Runner) storeGet(key string) (CellResult, bool) {
-	if r.store == nil {
-		return CellResult{}, false
-	}
-	res, ok, err := r.store.GetCell(key)
-	r.mu.Lock()
-	switch {
-	case err != nil:
-		r.storeErrs++
-	case ok:
-		r.storeHits++
-	}
-	r.mu.Unlock()
-	return res, err == nil && ok
-}
-
-// storePut journals one computed cell result to the durable tier (a no-op
-// without a store), absorbing write failures.
-func (r *Runner) storePut(key string, res CellResult) {
-	if r.store == nil {
-		return
-	}
-	err := r.store.PutCell(key, res)
-	r.mu.Lock()
-	if err != nil {
-		r.storeErrs++
-	} else {
-		r.storePuts++
-	}
-	r.mu.Unlock()
-}
-
 // evalFromSuite applies the closed-form energy model for one cell over its
 // already-simulated benchmark suite: each studied class under its effective
 // policy and technology point, over the recorded idle profiles. Policy/tech
@@ -482,9 +447,7 @@ func evalFromSuite(c Cell, suite map[string]pipeline.Result) (CellResult, error)
 // are grouped and each group's suite is simulated once; batching changes
 // the work schedule, never the numbers. Results return in input order with
 // Index zero (callers enumerating a grid set it); every cell is validated
-// before any simulation is paid for. The durable store is consulted before
-// a cell is computed and fed after: a cell journaled by an earlier run
-// (possibly a previous process) is served without touching the simulator.
+// before any simulation is paid for.
 func EvalCells(ctx context.Context, r *Runner, cells []Cell) ([]CellResult, error) {
 	out := make([]CellResult, len(cells))
 	for i := range cells {
@@ -492,17 +455,10 @@ func EvalCells(ctx context.Context, r *Runner, cells []Cell) ([]CellResult, erro
 			return nil, err
 		}
 	}
-	// Serve what the durable tier already has, and group the rest by
-	// simulation identity, preserving first-appearance order.
+	// Group by simulation identity, preserving first-appearance order.
 	groups := make(map[string][]int)
 	var order []string
 	for i := range cells {
-		if r.store != nil {
-			if res, ok := r.storeGet(cells[i].Key()); ok {
-				out[i] = res
-				continue
-			}
-		}
 		k := cells[i].SimKey()
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
@@ -520,9 +476,6 @@ func EvalCells(ctx context.Context, r *Runner, cells []Cell) ([]CellResult, erro
 			res, err := evalFromSuite(cells[i], suite)
 			if err != nil {
 				return nil, err
-			}
-			if r.store != nil {
-				r.storePut(cells[i].Key(), res)
 			}
 			out[i] = res
 		}

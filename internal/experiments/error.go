@@ -6,7 +6,7 @@ import (
 )
 
 // CellError is a contained cell-evaluation failure: instead of a panic or
-// raw error taking down a worker shard, the evaluation path wraps the
+// raw error taking down a worker, the evaluation path wraps the
 // outcome with the cell's identity and a classification the retry policy
 // can act on.
 type CellError struct {

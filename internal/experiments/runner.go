@@ -74,27 +74,14 @@ type inflight struct {
 	err  error
 }
 
-// CellStore is a durable cell-result store the runner consults before
-// recomputing a cell and appends to after computing one — the disk tier
-// under the in-memory simulation cache. Implementations (internal/store)
-// key records by the stable Cell.Key configuration hash, so a result
-// journaled before a crash is served back byte-identically after a
-// restart. GetCell returns ok=false (with a nil error) for unknown keys;
-// a decode error surfaces so the caller can fall back to recomputing.
-type CellStore interface {
-	GetCell(key string) (CellResult, bool, error)
-	PutCell(key string, res CellResult) error
-}
-
 // Runner executes experiments, caching benchmark runs so the figures that
 // share the same simulations (7, 8a, 8b, 9a, 9b) pay for them once. It is
 // the engine's backing store: all simulations funnel through Sim, which
 // honors context cancellation and the configured parallelism bound, and
 // deduplicates concurrent identical requests in flight.
 type Runner struct {
-	opt   Options
-	sem   chan struct{} // bounds concurrent pipeline simulations
-	store CellStore     // optional durable cell-result tier; set before use
+	opt Options
+	sem chan struct{} // bounds concurrent pipeline simulations
 
 	mu            sync.Mutex
 	runs          map[runKey]pipeline.Result
@@ -102,9 +89,6 @@ type Runner struct {
 	simCount      uint64 // completed pipeline runs, for tests and Stats
 	cacheHits     uint64 // Sim requests served from the result cache
 	inflightJoins uint64 // Sim requests that joined an in-progress identical run
-	storeHits     uint64 // cells served from the durable store
-	storePuts     uint64 // cell results appended to the durable store
-	storeErrs     uint64 // durable-store reads/writes that failed (and were absorbed)
 }
 
 // RunnerStats is a snapshot of the runner's simulation accounting: how many
@@ -124,13 +108,6 @@ type RunnerStats struct {
 	ProfileBuilds uint64 `json:"profileBuilds,omitempty"`
 	// Deprecated: always 0; see ProfileBuilds.
 	ProfileReuses uint64 `json:"profileReuses,omitempty"`
-	// StoreHits counts whole cells served from the durable result store
-	// (zero when no store is configured); StorePuts counts results
-	// journaled to it, and StoreErrors counts store failures the runner
-	// absorbed by recomputing.
-	StoreHits   uint64 `json:"storeHits,omitempty"`
-	StorePuts   uint64 `json:"storePuts,omitempty"`
-	StoreErrors uint64 `json:"storeErrors,omitempty"`
 }
 
 // HitRate returns the fraction of Sim requests that avoided a fresh
@@ -147,17 +124,8 @@ func (s RunnerStats) HitRate() float64 {
 func (r *Runner) Stats() RunnerStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return RunnerStats{
-		Simulations: r.simCount, CacheHits: r.cacheHits, InflightJoins: r.inflightJoins,
-		StoreHits: r.storeHits, StorePuts: r.storePuts, StoreErrors: r.storeErrs,
-	}
+	return RunnerStats{Simulations: r.simCount, CacheHits: r.cacheHits, InflightJoins: r.inflightJoins}
 }
-
-// SetCellStore attaches a durable cell-result store. It must be called
-// before the runner serves requests (engine construction time); EvalCells
-// then consults the store before simulating and journals fresh results
-// after.
-func (r *Runner) SetCellStore(s CellStore) { r.store = s }
 
 // NewRunner builds a runner.
 func NewRunner(opt Options) *Runner {

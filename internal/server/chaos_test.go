@@ -16,6 +16,7 @@ import (
 	"github.com/archsim/fusleep"
 	"github.com/archsim/fusleep/internal/fault"
 	"github.com/archsim/fusleep/internal/store"
+	"github.com/archsim/fusleep/internal/telemetry"
 )
 
 // chaosGrid is the crash-recovery workload: 12 cells (3 policies x 4 FU
@@ -74,7 +75,7 @@ func crashServer(t *testing.T, dir string, inj *fault.Injector) (*Server, *httpt
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := fusleep.NewEngine(fusleep.WithWindow(testWindow), fusleep.WithResultStore(st.Results))
+	eng := fusleep.NewEngine(fusleep.WithWindow(testWindow))
 	s := New(Config{Engine: eng, Results: st.Results, Jobs: st.Jobs, Fault: inj})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -119,6 +120,22 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	journaled := stA.Results.Len()
 	if journaled != 4 {
 		t.Fatalf("journaled %d results before the crash, want 4", journaled)
+	}
+	// The result hook is the only put, so each fresh cell the wedged
+	// journal refused failed exactly one put, and the scrape says so.
+	if v := metricValue(t, scrapeMetrics(t, tsA.URL), "fusleepd_store_put_errors_total"); v != float64(12-journaled) {
+		t.Fatalf("fusleepd_store_put_errors_total = %v, want %d", v, 12-journaled)
+	}
+	// The trace marks a cell stored only when its put landed.
+	_, events := getTrace(t, tsA.URL, sub.ID)
+	stored := 0
+	for _, ev := range events {
+		if ev.Stage == telemetry.StageStored {
+			stored++
+		}
+	}
+	if stored != journaled {
+		t.Fatalf("trace shows %d stored cells, want %d", stored, journaled)
 	}
 	// Force-stop: the in-process stand-in for a kill. The job's Finished
 	// append already hit the wedged WAL, so on disk it is still pending.

@@ -122,7 +122,7 @@ func pollResults(t *testing.T, base, id string) map[int]string {
 }
 
 // sweepRestarted runs body on a store-backed daemon (fresh cells, streamed
-// from the bytes the engine journaled), closes it and its store, then
+// from the bytes the result hook journaled), closes it and its store, then
 // reopens the store under a new Server and resubmits: every cell of the
 // second stream is served from the reopened journal. It returns both
 // streams.
@@ -134,7 +134,7 @@ func sweepRestarted(t *testing.T, body string, cells int) (fresh, replayed map[i
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := fusleep.NewEngine(fusleep.WithWindow(testWindow), fusleep.WithResultStore(st.Results))
+		eng := fusleep.NewEngine(fusleep.WithWindow(testWindow))
 		s, ts := newTestServer(t, Config{Engine: eng, Results: st.Results, Jobs: st.Jobs})
 		if _, err := s.Recover(); err != nil {
 			t.Fatal(err)

@@ -90,6 +90,8 @@ func (s *Server) registerMetrics() {
 			func() float64 { return float64(rs.Stats().Hits) })
 		counterFn("fusleepd_store_puts_total", "Cell results journaled to the result store.",
 			func() float64 { return float64(rs.Stats().Puts) })
+		counterFn("fusleepd_store_put_errors_total", "Cell results the result store failed to journal; their cells are recomputed on replay.",
+			func() float64 { return float64(rs.Stats().PutErrors) })
 		gaugeFn("fusleepd_store_results", "Distinct cell results in the durable store.",
 			func() float64 { return float64(rs.Stats().Results) })
 		gaugeFn("fusleepd_store_journal_bytes", "On-disk size of the result journal.",

@@ -293,10 +293,12 @@ func (s *Server) fleetResult(key string, res fusleep.CellResult) {
 	if s.cfg.Results == nil {
 		return
 	}
-	// Put failures surface through the store's own PutErrors metric; the
-	// job still completes (it just loses the replay-for-free guarantee).
-	_ = s.cfg.Results.PutCell(key, res)
-	s.trace.RecordKey(key, telemetry.Event{Stage: telemetry.StageStored})
+	// Put failures surface as fusleepd_store_put_errors_total, and the
+	// trace shows no stored stage; the job still completes (it just loses
+	// the replay-for-free guarantee).
+	if s.cfg.Results.PutCell(key, res) == nil {
+		s.trace.RecordKey(key, telemetry.Event{Stage: telemetry.StageStored})
+	}
 }
 
 // expiryLoop ticks fleet lease expiry so a crashed worker's cells requeue

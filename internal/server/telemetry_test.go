@@ -133,7 +133,7 @@ func TestMetricsExpositionValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	eng := fusleep.NewEngine(fusleep.WithWindow(testWindow), fusleep.WithResultStore(st.Results))
+	eng := fusleep.NewEngine(fusleep.WithWindow(testWindow))
 	_, ts := newTestServer(t, Config{Engine: eng, Results: st.Results, Jobs: st.Jobs})
 
 	sub := decodeSubmit(t, postSweep(t, ts.URL, chaosGrid))
@@ -146,6 +146,7 @@ func TestMetricsExpositionValid(t *testing.T) {
 		"fusleepd_build_info{",
 		"fusleepd_http_requests_total ",
 		"fusleepd_cells_completed_total 12",
+		"fusleepd_store_put_errors_total 0",
 		"fusleepd_cell_eval_seconds_bucket{",
 		"fusleepd_cell_eval_seconds_count ",
 		"fusleepd_cell_eval_seconds_sum ",
@@ -182,7 +183,7 @@ func TestJobTraceEndpointTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	eng := fusleep.NewEngine(fusleep.WithWindow(testWindow), fusleep.WithResultStore(st.Results))
+	eng := fusleep.NewEngine(fusleep.WithWindow(testWindow))
 	_, ts := newTestServer(t, Config{Engine: eng, Results: st.Results, Jobs: st.Jobs})
 
 	sub := decodeSubmit(t, postSweep(t, ts.URL, chaosGrid))

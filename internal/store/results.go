@@ -51,7 +51,8 @@ func canonical(data []byte) bool {
 // the stable Cell.Key configuration hash, with an in-memory index for
 // reads. Two cells with the same key are the same computation, so Put is
 // idempotent and the store doubles as a cross-restart dedupe substrate.
-// It implements experiments.CellStore and is safe for concurrent use.
+// A daemon checks it once, at dispatch, and writes it from the
+// coordinator's result hook. It is safe for concurrent use.
 type ResultStore struct {
 	mu    sync.Mutex
 	j     *Journal

@@ -22,7 +22,7 @@ var DefBuckets = []float64{
 
 // FineBuckets extends DefBuckets down to 1µs for the latencies that are
 // routinely shorter than DefBuckets' first 100µs bound — warm closed-form
-// cell evaluations, queue waits on an idle shard, batched journal
+// cell evaluations, queue waits on an idle worker, batched journal
 // appends — so their percentiles are read from real buckets instead of
 // being interpolated inside the first one.
 var FineBuckets = append([]float64{

@@ -98,8 +98,9 @@ func WithTuneParallelism(n int) TuneOption {
 // WithTuneEvaluator overrides how candidate cells are evaluated, cell by
 // cell. The default evaluates rounds batched through the engine's shared
 // simulation cache (Engine.RunCells); the sweep service substitutes an
-// evaluator that routes probes through its sharded job queue so tuner and
-// sweep cells share workers and dedupe.
+// evaluator that dispatches probes like sweep cells — one store check, then
+// the coordinator's SimKey routing — so tuner and sweep cells share workers
+// and dedupe.
 func WithTuneEvaluator(eval TuneEvaluator) TuneOption {
 	return func(c *optimize.Config) { c.Eval = eval }
 }
@@ -134,7 +135,7 @@ func (e *Engine) OptimizeStream(ctx context.Context, fn func(TuneProbe) error, o
 		// grouped by simulation identity, simulated once per (workload,
 		// FU-mix) group, and scored closed-form off the recorded profiles.
 		// A caller-supplied evaluator (WithTuneEvaluator — e.g. the sweep
-		// service's sharded queue) keeps the per-cell path.
+		// service's dispatch path) keeps the per-cell path.
 		cfg.BatchEval = func(ctx context.Context, cells []Cell) ([]CellResult, error) {
 			return e.RunCells(ctx, cells)
 		}
