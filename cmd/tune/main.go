@@ -51,7 +51,6 @@ func main() {
 	window := flag.Uint64("window", 250_000, "instruction window per benchmark")
 	maxEvals := flag.Int("max-evals", 64, "cell evaluation budget")
 	rounds := flag.Int("rounds", 4, "refinement rounds after the seed round")
-	parallel := flag.Int("parallel", 0, "max concurrent cell evaluations (0 = tuner default)")
 	quiet := flag.Bool("quiet", false, "suppress per-probe progress on stderr")
 	format := flag.String("format", "text", "output format: "+strings.Join(fusleep.Formats(), " | "))
 	flag.Parse()
@@ -122,7 +121,6 @@ func main() {
 		fusleep.WithTuneObjective(fusleep.TuneObjective{Kind: kind, SlowdownCap: *slowdownCap}),
 		fusleep.WithTuneBudget(*maxEvals),
 		fusleep.WithTuneRounds(*rounds),
-		fusleep.WithTuneParallelism(*parallel),
 	}
 
 	start := time.Now()

@@ -115,7 +115,7 @@
 // instead of exhaustively sweeping it, following the paper's observation
 // that no single policy wins everywhere (Figures 8-10, Section 7). The
 // search is a deterministic adaptive grid with successive halving: each
-// round evaluates its candidates in bounded parallel through the engine's
+// round evaluates its candidates in one batch through the engine's
 // simulation cache (probes sharing an FU count share one suite
 // simulation), keeps the top third by the objective, and bisects the
 // survivors' parameter neighborhoods geometrically. Objectives are E·D,

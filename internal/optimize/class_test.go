@@ -47,8 +47,8 @@ func classSynthEnergy(cl fu.Class, pc core.PolicyConfig) float64 {
 	}
 }
 
-func classSynthEvaluator() Evaluator {
-	return func(ctx context.Context, c experiments.Cell) (experiments.CellResult, error) {
+func classSynthEvaluator() BatchEvaluator {
+	return batchOf(func(ctx context.Context, c experiments.Cell) (experiments.CellResult, error) {
 		if err := ctx.Err(); err != nil {
 			return experiments.CellResult{}, err
 		}
@@ -59,7 +59,7 @@ func classSynthEvaluator() Evaluator {
 		}
 		rel /= float64(len(classes))
 		return experiments.CellResult{Cell: c, RelEnergy: rel, LeakageFraction: 0.4, MeanCycles: 1000}, nil
-	}
+	})
 }
 
 func classSpace() Space {
@@ -80,7 +80,7 @@ func classSpace() Space {
 func TestClassSearchComposesPerClassBest(t *testing.T) {
 	var probes []Probe
 	res, err := Run(context.Background(), Config{
-		Space: classSpace(), Eval: classSynthEvaluator(), MaxEvals: 96,
+		Space: classSpace(), BatchEval: classSynthEvaluator(), MaxEvals: 96,
 	}, func(p Probe) error { probes = append(probes, p); return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestClassSearchComposesPerClassBest(t *testing.T) {
 func TestClassSearchDeterministic(t *testing.T) {
 	runOnce := func() Result {
 		res, err := Run(context.Background(), Config{
-			Space: classSpace(), Eval: classSynthEvaluator(), MaxEvals: 64, Parallel: 5,
+			Space: classSpace(), BatchEval: classSynthEvaluator(), MaxEvals: 64,
 		}, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -17,11 +17,11 @@
 //     parameterized policy axes (SleepTimeout threshold, GradualSleep K)
 //     crossed with the discrete axes (policy family, FU count, technology
 //     point), then applies successive halving: each round keeps the
-//     top 1/Eta candidates and refines their parameter neighborhoods by
-//     geometric bisection. Probes evaluate through the caller-supplied
-//     Evaluator — the engine routes them through experiments.EvalCells, so
-//     repeated probes deduplicate through the simulation cache for free —
-//     and run in bounded parallel within a round.
+//     top third of its candidates and refines their parameter
+//     neighborhoods by geometric bisection. Each round's probes go to the
+//     caller-supplied BatchEvaluator in one call — the engine scores them
+//     through experiments.EvalCells, so probes sharing a simulation
+//     simulate once; the daemon dispatches them like sweep cells.
 //   - A Pareto-frontier accumulator (Frontier) keeps every non-dominated
 //     (delay, energy) point seen, with dominance pruning, and the driver
 //     streams a trace of accepted and rejected probes to its observer.

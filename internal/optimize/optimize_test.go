@@ -138,11 +138,27 @@ func synthCycles(fus int) float64 {
 	return 1000
 }
 
+// batchOf lifts a per-cell scorer into a BatchEvaluator that scores a
+// round's cells one at a time in input order, stopping at the first error.
+func batchOf(eval func(context.Context, experiments.Cell) (experiments.CellResult, error)) BatchEvaluator {
+	return func(ctx context.Context, cells []experiments.Cell) ([]experiments.CellResult, error) {
+		results := make([]experiments.CellResult, len(cells))
+		for i, c := range cells {
+			res, err := eval(ctx, c)
+			if err != nil {
+				return nil, err
+			}
+			results[i] = res
+		}
+		return results, nil
+	}
+}
+
 // synthEvaluator scores cells from the closed-form landscape, recording
 // every key so tests can assert dedupe and budget behavior.
-func synthEvaluator(t *testing.T) (Evaluator, *sync.Map) {
+func synthEvaluator(t *testing.T) (BatchEvaluator, *sync.Map) {
 	var seen sync.Map
-	return func(ctx context.Context, c experiments.Cell) (experiments.CellResult, error) {
+	return batchOf(func(ctx context.Context, c experiments.Cell) (experiments.CellResult, error) {
 		if err := ctx.Err(); err != nil {
 			return experiments.CellResult{}, err
 		}
@@ -155,7 +171,7 @@ func synthEvaluator(t *testing.T) (Evaluator, *sync.Map) {
 			LeakageFraction: 0.4,
 			MeanCycles:      synthCycles(c.FUs),
 		}, nil
-	}, &seen
+	}), &seen
 }
 
 func synthSpace() Space {
@@ -195,7 +211,7 @@ func TestRunConvergesWithinBudget(t *testing.T) {
 	eval, _ := synthEvaluator(t)
 	sp := synthSpace()
 	var probes []Probe
-	res, err := Run(context.Background(), Config{Space: sp, Eval: eval, MaxEvals: 48},
+	res, err := Run(context.Background(), Config{Space: sp, BatchEval: eval, MaxEvals: 48},
 		func(p Probe) error { probes = append(probes, p); return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +246,7 @@ func TestRunDeterministic(t *testing.T) {
 	run := func() (Result, []Probe) {
 		eval, _ := synthEvaluator(t)
 		var probes []Probe
-		res, err := Run(context.Background(), Config{Space: synthSpace(), Eval: eval, MaxEvals: 40, Parallel: 7},
+		res, err := Run(context.Background(), Config{Space: synthSpace(), BatchEval: eval, MaxEvals: 40},
 			func(p Probe) error { probes = append(probes, p); return nil })
 		if err != nil {
 			t.Fatal(err)
@@ -258,7 +274,7 @@ func TestRunSlowdownCap(t *testing.T) {
 	res, err := Run(context.Background(), Config{
 		Space:     synthSpace(),
 		Objective: Objective{Kind: KindLeakage, SlowdownCap: 1.0},
-		Eval:      eval, MaxEvals: 48,
+		BatchEval: eval, MaxEvals: 48,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +296,7 @@ func TestRunPropagatesEvalError(t *testing.T) {
 		}
 		return experiments.CellResult{Cell: c, RelEnergy: 1, MeanCycles: 1000}, nil
 	}
-	if _, err := Run(context.Background(), Config{Space: synthSpace(), Eval: eval, Parallel: 1}, nil); !errors.Is(err, boom) {
+	if _, err := Run(context.Background(), Config{Space: synthSpace(), BatchEval: batchOf(eval)}, nil); !errors.Is(err, boom) {
 		t.Errorf("err = %v, want boom", err)
 	}
 }
@@ -288,7 +304,7 @@ func TestRunPropagatesEvalError(t *testing.T) {
 func TestRunObserverAborts(t *testing.T) {
 	eval, _ := synthEvaluator(t)
 	stop := errors.New("stop")
-	_, err := Run(context.Background(), Config{Space: synthSpace(), Eval: eval},
+	_, err := Run(context.Background(), Config{Space: synthSpace(), BatchEval: eval},
 		func(p Probe) error { return stop })
 	if !errors.Is(err, stop) {
 		t.Errorf("err = %v, want stop", err)
@@ -301,7 +317,7 @@ func TestRunHonorsContext(t *testing.T) {
 	eval := func(ctx context.Context, c experiments.Cell) (experiments.CellResult, error) {
 		return experiments.CellResult{}, ctx.Err()
 	}
-	if _, err := Run(ctx, Config{Space: synthSpace(), Eval: eval}, nil); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, Config{Space: synthSpace(), BatchEval: batchOf(eval)}, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -333,7 +349,7 @@ func TestSpaceValidate(t *testing.T) {
 
 func TestResultArtifacts(t *testing.T) {
 	eval, _ := synthEvaluator(t)
-	res, err := Run(context.Background(), Config{Space: synthSpace(), Eval: eval, MaxEvals: 32}, nil)
+	res, err := Run(context.Background(), Config{Space: synthSpace(), BatchEval: eval, MaxEvals: 32}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,30 +2,31 @@ package optimize
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"github.com/archsim/fusleep/internal/core"
 	"github.com/archsim/fusleep/internal/experiments"
 	"github.com/archsim/fusleep/internal/stats"
 )
 
-// Evaluator scores one candidate cell. The engine supplies its cached cell
-// runner (experiments.EvalCells through the shared simulation cache); the
-// sweep service supplies an evaluator that routes through its cell
-// dispatch path. Evaluators must be deterministic for the tuner to be.
-type Evaluator func(ctx context.Context, c experiments.Cell) (experiments.CellResult, error)
-
 // BatchEvaluator scores one round's candidate cells in a single call,
-// returning results in input order. A batch evaluator sees the whole round
-// at once, so it can simulate each (workload, FU-mix) group exactly once
-// and evaluate the policy/tech variants closed-form off the recorded
-// profiles (experiments.EvalCells). It must be deterministic and must
-// produce exactly the results the per-cell Evaluator would.
+// returning results in input order. It sees the whole round at once, so it
+// can simulate each (workload, FU-mix) group exactly once and evaluate the
+// policy/tech variants closed-form off the recorded profiles
+// (experiments.EvalCells), or hand the round to a dispatcher that routes
+// every cell like a sweep cell. It must be deterministic for the tuner to
+// be.
 type BatchEvaluator func(ctx context.Context, cells []experiments.Cell) ([]experiments.CellResult, error)
+
+// The search's fixed shape: each round the top ceil(n/eta) candidates
+// survive into refinement, and the seed grid places initialPoints
+// log-spaced points on every refinable parameter axis.
+const (
+	eta           = 3
+	initialPoints = 5
+)
 
 // Config parameterizes one tuner run.
 type Config struct {
@@ -37,21 +38,7 @@ type Config struct {
 	MaxEvals int
 	// Rounds bounds the refinement rounds after the seed round (default 4).
 	Rounds int
-	// Eta is the successive-halving keep divisor: each round the top
-	// ceil(n/Eta) candidates survive into refinement (default 3).
-	Eta int
-	// InitialPoints is the number of log-spaced seed points per refinable
-	// parameter axis (default 5).
-	InitialPoints int
-	// Parallel bounds concurrent candidate evaluations within a round
-	// (default 4).
-	Parallel int
-	// Eval evaluates candidates one at a time. Required unless BatchEval
-	// is set.
-	Eval Evaluator
-	// BatchEval, when set, evaluates whole rounds in one call and takes
-	// precedence over Eval; Parallel then bounds nothing the tuner controls
-	// (the batch evaluator schedules its own simulations).
+	// BatchEval evaluates each round's candidates in one call. Required.
 	BatchEval BatchEvaluator
 }
 
@@ -64,15 +51,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 4
-	}
-	if cfg.Eta < 2 {
-		cfg.Eta = 3
-	}
-	if cfg.InitialPoints <= 0 {
-		cfg.InitialPoints = 5
-	}
-	if cfg.Parallel <= 0 {
-		cfg.Parallel = 4
 	}
 	return cfg
 }
@@ -130,15 +108,16 @@ type Result struct {
 	Summary Summary `json:"summary"`
 }
 
-// Run executes the search: seed the candidate grid, evaluate in bounded
-// parallel, rank, keep the top 1/Eta, refine their parameter neighborhoods
-// by geometric bisection, and repeat until the budget, the round limit, or
-// the refinement fixpoint stops it. observe (optional) receives every probe
-// in deterministic evaluation order; a non-nil error from it aborts the run.
+// Run executes the search: seed the candidate grid, evaluate each round
+// in one BatchEval call, rank, keep the top 1/eta, refine their parameter
+// neighborhoods by geometric bisection, and repeat until the budget, the
+// round limit, or the refinement fixpoint stops it. observe (optional)
+// receives every probe in deterministic evaluation order; a non-nil error
+// from it aborts the run.
 func Run(ctx context.Context, cfg Config, observe func(Probe) error) (Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Eval == nil && cfg.BatchEval == nil {
-		return Result{}, fmt.Errorf("optimize: Config.Eval or Config.BatchEval is required")
+	if cfg.BatchEval == nil {
+		return Result{}, fmt.Errorf("optimize: Config.BatchEval is required")
 	}
 	sp := cfg.Space.WithDefaults(core.DefaultTech(), experiments.DefaultOptions().Window)
 	if err := sp.Validate(); err != nil {
@@ -186,7 +165,7 @@ func Run(ctx context.Context, cfg Config, observe func(Probe) error) (Result, er
 		probed[fam] = vs
 	}
 
-	current := dedupeCandidates(sp, append(sp.references(), sp.seeds(cfg.InitialPoints)...), evaluated)
+	current := dedupeCandidates(sp, append(sp.references(), sp.seeds(initialPoints)...), evaluated)
 	for round := 0; len(current) > 0; round++ {
 		remaining := cfg.MaxEvals - len(evaluated)
 		if remaining <= 0 {
@@ -200,7 +179,7 @@ func Run(ctx context.Context, cfg Config, observe func(Probe) error) (Result, er
 			cells[i] = sp.cell(c.fam, c.param)
 			evaluated[cells[i].Key()] = true
 		}
-		results, err := evalBatch(ctx, cfg, cells)
+		results, err := evalBatch(ctx, cfg.BatchEval, cells)
 		if err != nil {
 			return Result{}, err
 		}
@@ -250,7 +229,7 @@ func Run(ctx context.Context, cfg Config, observe func(Probe) error) (Result, er
 		if round >= cfg.Rounds {
 			break
 		}
-		current = refine(sp, current, points, probed, evaluated, cfg.Eta)
+		current = refine(sp, current, points, probed, evaluated)
 	}
 	if !haveBest {
 		return Result{}, fmt.Errorf("optimize: no candidates evaluated (budget %d)", cfg.MaxEvals)
@@ -285,7 +264,7 @@ func Run(ctx context.Context, cfg Config, observe func(Probe) error) (Result, er
 			}
 		}
 		if len(composedCells) > 0 {
-			results, err := evalBatch(ctx, cfg, composedCells)
+			results, err := evalBatch(ctx, cfg.BatchEval, composedCells)
 			if err != nil {
 				return Result{}, err
 			}
@@ -322,74 +301,25 @@ func Run(ctx context.Context, cfg Config, observe func(Probe) error) (Result, er
 	return res, nil
 }
 
-// evalBatch evaluates one round's cells and returns their results in input
-// order. With a BatchEvaluator configured the whole round goes down in one
-// call — shared-pass batching decides how to schedule its simulations —
-// otherwise the cells are evaluated concurrently (bounded by cfg.Parallel)
-// through the per-cell Evaluator; the first error in input order wins and
-// cancels the rest.
-func evalBatch(ctx context.Context, cfg Config, cells []experiments.Cell) ([]experiments.CellResult, error) {
-	if cfg.BatchEval != nil {
-		results, err := cfg.BatchEval(ctx, cells)
-		if err != nil {
-			return nil, fmt.Errorf("optimize: %w", err)
-		}
-		if len(results) != len(cells) {
-			return nil, fmt.Errorf("optimize: batch evaluator returned %d results for %d cells", len(results), len(cells))
-		}
-		return results, nil
+// evalBatch evaluates one round's cells and checks that the evaluator
+// returned one result per cell.
+func evalBatch(ctx context.Context, eval BatchEvaluator, cells []experiments.Cell) ([]experiments.CellResult, error) {
+	results, err := eval(ctx, cells)
+	if err != nil {
+		return nil, fmt.Errorf("optimize: %w", err)
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make([]experiments.CellResult, len(cells))
-	errs := make([]error, len(cells))
-	sem := make(chan struct{}, cfg.Parallel)
-	var wg sync.WaitGroup
-	for i := range cells {
-		wg.Add(1)
-		go func(i int, cell experiments.Cell) {
-			defer wg.Done()
-			//fusleepvet:nondet-ok semaphore-vs-cancel race: results land at fixed indices and the first error in input order wins regardless of arrival
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			results[i], errs[i] = cfg.Eval(ctx, cell)
-			if errs[i] != nil {
-				cancel()
-			}
-		}(i, cells[i])
-	}
-	wg.Wait()
-	// A real evaluation error cancels the rest of the batch, so sibling
-	// candidates settle with context errors; report the real cause.
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			return nil, fmt.Errorf("optimize: %w", err)
-		}
-		if first == nil {
-			first = err
-		}
-	}
-	if first != nil {
-		return nil, first
+	if len(results) != len(cells) {
+		return nil, fmt.Errorf("optimize: batch evaluator returned %d results for %d cells", len(results), len(cells))
 	}
 	return results, nil
 }
 
 // refine ranks the round's candidates (feasible first, then ascending
 // score, ties by probe order) and returns the next round's candidates: for
-// each of the top ceil(n/Eta) survivors with a refinable axis, the
+// each of the top ceil(n/eta) survivors with a refinable axis, the
 // geometric midpoints between its parameter and the nearest already-probed
 // values on each side.
-func refine(sp Space, cands []candidate, points []Point, probed map[family][]int, evaluated map[string]bool, eta int) []candidate {
+func refine(sp Space, cands []candidate, points []Point, probed map[family][]int, evaluated map[string]bool) []candidate {
 	order := make([]int, len(cands))
 	for i := range order {
 		order[i] = i

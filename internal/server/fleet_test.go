@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"path/filepath"
 	"sync"
@@ -242,11 +243,11 @@ func TestFleetKillWorkerMidSweepByteIdentical(t *testing.T) {
 }
 
 // TestFleetTuneRunsThroughWorkers drives the tuner through the fleet
-// dispatch path: probes evaluate on a remote worker, the run completes,
-// and the job attributes the worker.
+// dispatch path: probes evaluate on a remote worker, the run completes with
+// the engine's own probes and result, and the job attributes the worker.
 func TestFleetTuneRunsThroughWorkers(t *testing.T) {
 	coord := fleet.NewCoordinator(fleet.Config{})
-	_, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{
 		Engine: fusleep.NewEngine(fusleep.WithWindow(testWindow)),
 		Fleet:  coord,
 	})
@@ -261,12 +262,13 @@ func TestFleetTuneRunsThroughWorkers(t *testing.T) {
 		return len(fleetWorkers(t, ts.URL)) == 1
 	})
 
-	sub := decodeTuneSubmit(t, postTune(t, ts.URL,
-		`{"benchmarks":["gcc"],"window":20000,"maxEvals":8,"rounds":1}`))
-	_, _, end := readTuneStream(t, ts.URL, sub.ID)
+	body := fmt.Sprintf(`{"benchmarks":["gcc"],"window":%d,"maxEvals":8,"rounds":1}`, testWindow)
+	sub := decodeTuneSubmit(t, postTune(t, ts.URL, body))
+	_, probes, end := readTuneStream(t, ts.URL, sub.ID)
 	if end.State != StateDone || end.Result == nil {
 		t.Fatalf("tune end = %+v, want a completed result", end)
 	}
+	assertTuneMatchesEngine(t, s.cfg, body, probes, end)
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID + "?poll=1")
 	if err != nil {
 		t.Fatal(err)
@@ -281,6 +283,49 @@ func TestFleetTuneRunsThroughWorkers(t *testing.T) {
 	}
 	if fs := coord.Stats(); fs.Completed == 0 {
 		t.Fatalf("fleet stats = %+v, want completed probe assignments", fs)
+	}
+}
+
+// TestFleetTuneFailureOutranksAbortedProbes settles a tuner round by hand
+// through a worker registered without a fetch loop: the round's second
+// probe fails while its first is still leased. The failure aborts the
+// round, so the first probe settles only as canceled, and the job must
+// report the second probe's failure — the first real error in input order
+// — rather than the context error that comes before it.
+func TestFleetTuneFailureOutranksAbortedProbes(t *testing.T) {
+	coord := fleet.NewCoordinator(fleet.Config{})
+	_, ts := newTestServer(t, Config{
+		Engine: fusleep.NewEngine(fusleep.WithWindow(testWindow)),
+		Fleet:  coord,
+	})
+	id, _ := coord.Register("manual")
+
+	// One policy over two FU counts: the seed round is two probes, 2 FUs
+	// then 4 FUs, in two SimKey groups.
+	sub := decodeTuneSubmit(t, postTune(t, ts.URL, fmt.Sprintf(
+		`{"benchmarks":["gcc"],"window":%d,"policies":["AlwaysActive"],"fuCounts":[2,4],"maxEvals":2}`, testWindow)))
+	waitFor(t, "the seed round to queue", 10*time.Second, func() bool {
+		return coord.Stats().Queued == 2
+	})
+	leased, err := coord.Fetch(t.Context(), id, 2, 0)
+	if err != nil || len(leased) != 2 {
+		t.Fatalf("fetch = %d cells, %v; want the 2-probe round", len(leased), err)
+	}
+	first, second := leased[0], leased[1]
+	if first.Cell.FUs != 2 {
+		first, second = second, first
+	}
+	// Settle the aborted lease at the end so the server drains cleanly.
+	t.Cleanup(func() {
+		_, _ = coord.Report(id, []fleet.CellReport{{Lease: first.Lease, Key: first.Key, Error: &fleet.WireError{Message: "abandoned"}}})
+	})
+	const cause = "second probe failed"
+	if _, err := coord.Report(id, []fleet.CellReport{{Lease: second.Lease, Key: second.Key, Error: &fleet.WireError{Message: cause}}}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, end := readTuneStream(t, ts.URL, sub.ID)
+	if end.State != StateFailed || end.Error != "optimize: "+cause {
+		t.Fatalf("tune end = state %s error %q, want failed with %q", end.State, end.Error, cause)
 	}
 }
 

@@ -162,16 +162,21 @@ func (j *sweepJob) skip(n int) {
 	}
 }
 
+// isContextErr reports whether err is a cancellation or deadline error: a
+// settlement of aborted work rather than a failure of its own.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
 // fail records one cell's error. Cancellation-shaped errors on an already
 // aborted job count as skips; a real error latches as the job's failure and
 // cancels the remaining cells. countReal runs for a real failure before
 // the job can finish, so a metrics scrape taken after the stream's
 // terminal event already counts the failure.
 func (j *sweepJob) fail(err error, countReal func()) {
-	cancelErr := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 	realFailure := false
 	j.mu.Lock()
-	if cancelErr && (j.canceled || j.err != nil) {
+	if isContextErr(err) && (j.canceled || j.err != nil) {
 		j.skipped++
 	} else {
 		j.failed++

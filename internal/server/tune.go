@@ -1,9 +1,9 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -67,8 +67,8 @@ func (req TuneRequest) options(cfg Config) ([]fusleep.TuneOption, int, error) {
 		}
 		obj.Kind = kind
 	}
-	if req.SlowdownCap < 0 {
-		return nil, 0, fmt.Errorf("negative slowdownCap %g", req.SlowdownCap)
+	if err := obj.Validate(); err != nil {
+		return nil, 0, err
 	}
 	sp := fusleep.TuneSpace{
 		FUCounts:   req.FUCounts,
@@ -95,19 +95,18 @@ func (req TuneRequest) options(cfg Config) ([]fusleep.TuneOption, int, error) {
 		}
 		sp.Classes = append(sp.Classes, cl)
 	}
-	if err := sp.WithDefaults(fusleep.DefaultTech(), 1).Validate(); err != nil {
-		return nil, 0, err
+	for _, r := range []*[2]int{req.TimeoutRange, req.SlicesRange} {
+		// WithDefaults reads a zero range as unset; a client that sent one
+		// asked for an empty range.
+		if r != nil && *r == ([2]int{}) {
+			return nil, 0, fmt.Errorf("bad parameter range [0, 0]")
+		}
 	}
 	if req.TimeoutRange != nil {
 		sp.TimeoutRange = *req.TimeoutRange
 	}
 	if req.SlicesRange != nil {
 		sp.SlicesRange = *req.SlicesRange
-	}
-	for _, r := range []*[2]int{req.TimeoutRange, req.SlicesRange} {
-		if r != nil && (r[0] < 1 || r[1] < r[0]) {
-			return nil, 0, fmt.Errorf("bad parameter range [%d, %d]", r[0], r[1])
-		}
 	}
 	def := fusleep.DefaultTech()
 	for _, spec := range req.Techs {
@@ -116,22 +115,8 @@ func (req TuneRequest) options(cfg Config) ([]fusleep.TuneOption, int, error) {
 	for _, p := range req.Ps {
 		sp.Techs = append(sp.Techs, def.WithP(p))
 	}
-	for _, t := range sp.Techs {
-		if err := t.Validate(); err != nil {
-			return nil, 0, err
-		}
-	}
-	names := map[string]bool{}
-	for _, n := range fusleep.BenchmarkNames() {
-		names[n] = true
-	}
-	for _, b := range sp.Benchmarks {
-		if !names[b] {
-			return nil, 0, fmt.Errorf("unknown benchmark %q (have %v)", b, fusleep.BenchmarkNames())
-		}
-	}
-	if req.Alpha < 0 || req.Alpha > 1 {
-		return nil, 0, fmt.Errorf("alpha %g out of range [0,1]", req.Alpha)
+	if err := sp.WithDefaults(def, 1).Validate(); err != nil {
+		return nil, 0, err
 	}
 	if req.L2Latency < 0 {
 		return nil, 0, fmt.Errorf("negative l2Latency %d", req.L2Latency)
@@ -227,10 +212,9 @@ func (j *tuneJob) addWorker(worker string) {
 
 // finish records the run's outcome and moves the job to its terminal state.
 func (j *tuneJob) finish(res fusleep.TuneResult, err error) {
-	cancelErr := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 	j.mu.Lock()
 	switch {
-	case j.canceled && (err == nil || cancelErr):
+	case j.canceled && (err == nil || isContextErr(err)):
 		j.state = StateCanceled
 	case err != nil:
 		j.state = StateFailed
@@ -311,48 +295,88 @@ func (j *tuneJob) watch(offset int) (fresh []fusleep.TuneProbe, state string, up
 	return fresh, j.state, j.updated
 }
 
-// queueEvaluator routes tuner probes through the daemon's one dispatch
-// path, so tune and sweep workloads share workers, and identical cells —
-// across job kinds, requests, and clients — are served from the result
-// store, join in-flight work, or dedupe through the simulation cache.
-// jobID names the trace every probe's lifecycle lands on; record, when
-// non-nil, receives the name of each fleet worker that evaluated a probe.
-func (s *Server) queueEvaluator(jobID string, record func(worker string)) fusleep.TuneEvaluator {
-	return func(ctx context.Context, c fusleep.Cell) (fusleep.CellResult, error) {
+// roundDispatcher sends every probe of a tuner round down the daemon's one
+// dispatch path, the one sweep cells take, so tune and sweep workloads
+// share workers, and identical cells — across job kinds, requests, and
+// clients — are served from the result store, join in-flight work, or
+// dedupe through the simulation cache. Probe lifecycles land on the job's
+// trace, and each fleet worker that evaluated a probe is attributed to the
+// job. Results return in input order. A probe failure cancels the rest of
+// the round; the first real failure in input order is reported, and only
+// when there is none the round's context error.
+func (s *Server) roundDispatcher(job *tuneJob) fusleep.TuneBatchEvaluator {
+	return func(ctx context.Context, cells []fusleep.Cell) ([]fusleep.CellResult, error) {
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
 		type outcome struct {
+			i   int
 			res fusleep.CellResult
 			err error
 		}
-		key := c.Key()
-		ch := make(chan outcome, 1) // buffered: the callbacks never block
-		done := func(worker string, res fusleep.CellResult, err error) {
-			if err != nil {
-				s.trace.Record(jobID, telemetry.Event{Stage: telemetry.StageFailed, Key: key, Err: err.Error()})
-			} else {
-				if worker != "" && record != nil {
-					record(worker)
+		settled := make(chan outcome, len(cells)) // buffered: the callbacks never block
+		dispatched := 0
+		for i, c := range cells {
+			key := c.Key()
+			done := func(worker string, res fusleep.CellResult, err error) {
+				if err != nil {
+					s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageFailed, Key: key, Err: err.Error()})
+				} else {
+					if worker != "" {
+						job.addWorker(worker)
+					}
+					s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageCompleted, Key: key, Worker: worker})
 				}
-				s.trace.Record(jobID, telemetry.Event{Stage: telemetry.StageCompleted, Key: key, Worker: worker})
+				settled <- outcome{i, res, err}
+				if err != nil {
+					cancel()
+				}
 			}
-			ch <- outcome{res, err}
-		}
-		served := func(canon []byte) {
-			var res fusleep.CellResult
-			err := json.Unmarshal(canon, &res)
-			done("", res, err)
-		}
-		if !s.dispatch(task{ctx: ctx, cell: c, key: key, trace: jobID, served: served, done: done}) {
-			if err := ctx.Err(); err != nil {
-				return fusleep.CellResult{}, err
+			served := func(canon []byte) {
+				var res fusleep.CellResult
+				err := json.Unmarshal(canon, &res)
+				done("", res, err)
 			}
-			return fusleep.CellResult{}, context.Canceled
+			if !s.dispatch(task{ctx: ctx, cell: c, key: key, trace: job.id, served: served, done: done}) {
+				break
+			}
+			dispatched++
 		}
-		select {
-		case o := <-ch:
-			return o.res, o.err
-		case <-ctx.Done():
-			return fusleep.CellResult{}, ctx.Err()
+
+		results := make([]fusleep.CellResult, len(cells))
+		errs := make([]error, len(cells))
+		got := make([]bool, len(cells))
+		take := func(o outcome) { results[o.i], errs[o.i], got[o.i] = o.res, o.err, true }
+		for n := 0; n < dispatched && ctx.Err() == nil; {
+			select {
+			case o := <-settled:
+				take(o)
+				n++
+			case <-ctx.Done():
+			}
 		}
+		// Probes that settled before an abort count, the failure that caused
+		// it among them; only this goroutine receives, so these never block.
+		for len(settled) > 0 {
+			take(<-settled)
+		}
+		var aborted error
+		for i, err := range errs {
+			if !got[i] {
+				// Never dispatched, or still out when the round was aborted.
+				err = cmp.Or(ctx.Err(), context.Canceled)
+			}
+			switch {
+			case err == nil:
+			case !isContextErr(err):
+				return nil, err
+			case aborted == nil:
+				aborted = err
+			}
+		}
+		if aborted != nil {
+			return nil, aborted
+		}
+		return results, nil
 	}
 }
 
@@ -365,7 +389,7 @@ func (s *Server) runTune(job *tuneJob, opts []fusleep.TuneOption) {
 	// Tune jobs reserve their full evaluation budget at admission; the
 	// whole reservation releases when the run terminates.
 	defer s.release(job.maxEvals)
-	opts = append(opts, fusleep.WithTuneEvaluator(s.queueEvaluator(job.id, job.addWorker)))
+	opts = append(opts, fusleep.WithTuneBatchEvaluator(s.roundDispatcher(job)))
 	res, err := s.eng.OptimizeStream(job.ctx, func(p fusleep.TuneProbe) error {
 		// Count before publishing: a stream reader that sees the probe
 		// must find it in the metrics too.

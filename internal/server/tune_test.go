@@ -2,15 +2,19 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/archsim/fusleep"
+	"github.com/archsim/fusleep/internal/fault"
 )
 
 func postTune(t *testing.T, base, body string) *http.Response {
@@ -76,8 +80,50 @@ func readTuneStream(t *testing.T, base, id string) (header tuneStreamEvent, prob
 	return header, probes, end
 }
 
+// assertTuneMatchesEngine checks a daemon's tune run against the engine's
+// own: every streamed probe and the end result must be JSON-equal to what
+// OptimizeStream yields for the options the request builds.
+func assertTuneMatchesEngine(t *testing.T, cfg Config, body string, probes []tuneStreamEvent, end tuneStreamEvent) {
+	t.Helper()
+	var req TuneRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	opts, _, err := req.options(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []fusleep.TuneProbe
+	res, err := fusleep.NewEngine(fusleep.WithWindow(testWindow)).OptimizeStream(context.Background(),
+		func(p fusleep.TuneProbe) error { want = append(want, p); return nil }, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probes) != len(want) {
+		t.Fatalf("daemon streamed %d probes, engine %d", len(probes), len(want))
+	}
+	same := func(what string, got, want any) {
+		t.Helper()
+		g, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Fatalf("%s differs from the engine's:\n  daemon: %s\n  engine: %s", what, g, w)
+		}
+	}
+	for i := range want {
+		same(fmt.Sprintf("probe %d", i), probes[i].Probe, &want[i])
+	}
+	same("result", end.Result, &res)
+}
+
 func TestTuneSubmitStreamComplete(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	body := fmt.Sprintf(`{"objective":"ed","benchmarks":["gcc"],"window":%d,
 		"policies":["AlwaysActive","SleepTimeout"],"timeoutRange":[1,64],
 		"fuCounts":[2,4],"maxEvals":20}`, testWindow)
@@ -112,6 +158,26 @@ func TestTuneSubmitStreamComplete(t *testing.T) {
 		if p.Delay < end.Result.Best.Delay && p.Energy < end.Result.Best.Energy {
 			t.Errorf("best %+v dominated by frontier point %+v", end.Result.Best, p)
 		}
+	}
+	assertTuneMatchesEngine(t, s.cfg, body, probes, end)
+}
+
+// TestTuneProbePanicFailsJob injects a panic into one probe: the panic
+// aborts the rest of its round, and the job must fail with the panic's cell
+// error — not the round's context error — and still close its stream.
+func TestTuneProbePanicFailsJob(t *testing.T) {
+	inj := fault.New(5)
+	inj.Set(fault.CellPanic, fault.Spec{Times: 1})
+	_, ts := newTestServer(t, Config{Fault: inj})
+	sub := decodeTuneSubmit(t, postTune(t, ts.URL,
+		fmt.Sprintf(`{"benchmarks":["gcc"],"window":%d,"maxEvals":8}`, testWindow)))
+	_, _, end := readTuneStream(t, ts.URL, sub.ID)
+	if end.State != StateFailed || end.Result != nil {
+		t.Fatalf("tune end = %+v, want failed without a result", end)
+	}
+	panicked := regexp.MustCompile(`^optimize: cell \S+ panicked \(attempt 1\): recovered panic: injected: ` + regexp.QuoteMeta(fault.CellPanic) + `$`)
+	if !panicked.MatchString(end.Error) {
+		t.Fatalf("tune error = %q, want the panicked cell's error", end.Error)
 	}
 }
 
@@ -196,6 +262,7 @@ func TestTuneBadRequests(t *testing.T) {
 		{"unknown objective", `{"objective":"speed"}`, http.StatusBadRequest},
 		{"unknown policy", `{"policies":["TurboSleep"]}`, http.StatusBadRequest},
 		{"bad range", `{"timeoutRange":[0,10]}`, http.StatusBadRequest},
+		{"explicit zero range", `{"timeoutRange":[0,0]}`, http.StatusBadRequest},
 		{"inverted range", `{"slicesRange":[9,3]}`, http.StatusBadRequest},
 		{"unknown benchmark", `{"benchmarks":["nosuch"]}`, http.StatusBadRequest},
 		{"window too big", `{"window":200000}`, http.StatusBadRequest},

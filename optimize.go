@@ -28,8 +28,6 @@ type (
 	// TuneResult is a completed tuner run: best point, Pareto frontier,
 	// and evaluation accounting.
 	TuneResult = optimize.Result
-	// TuneEvaluator scores one candidate cell; see WithTuneEvaluator.
-	TuneEvaluator = optimize.Evaluator
 	// TuneBatchEvaluator scores one tuner round's cells in a single call;
 	// see WithTuneBatchEvaluator.
 	TuneBatchEvaluator = optimize.BatchEvaluator
@@ -85,29 +83,13 @@ func WithTuneRounds(n int) TuneOption {
 	}
 }
 
-// WithTuneParallelism bounds concurrent candidate evaluations within a
-// round (default 4). Values < 1 are ignored.
-func WithTuneParallelism(n int) TuneOption {
-	return func(c *optimize.Config) {
-		if n > 0 {
-			c.Parallel = n
-		}
-	}
-}
-
-// WithTuneEvaluator overrides how candidate cells are evaluated, cell by
-// cell. The default evaluates rounds batched through the engine's shared
-// simulation cache (Engine.RunCells); the sweep service substitutes an
-// evaluator that dispatches probes like sweep cells — one store check, then
-// the coordinator's SimKey routing — so tuner and sweep cells share workers
-// and dedupe.
-func WithTuneEvaluator(eval TuneEvaluator) TuneOption {
-	return func(c *optimize.Config) { c.Eval = eval }
-}
-
-// WithTuneBatchEvaluator overrides how whole tuner rounds are evaluated; it
-// takes precedence over WithTuneEvaluator. The batch evaluator must return
-// exactly the per-cell results the cell-by-cell path would, in input order.
+// WithTuneBatchEvaluator overrides how tuner rounds are evaluated. The
+// default scores each round through the engine's shared simulation cache
+// (Engine.RunCells); the sweep service substitutes a dispatcher that sends
+// every probe down its sweep-cell path — one store check, then the
+// coordinator's SimKey routing — so tuner and sweep cells share workers
+// and dedupe. The evaluator must return exactly the results Engine.RunCells
+// would, in input order.
 func WithTuneBatchEvaluator(eval TuneBatchEvaluator) TuneOption {
 	return func(c *optimize.Config) { c.BatchEval = eval }
 }
@@ -130,15 +112,8 @@ func (e *Engine) OptimizeStream(ctx context.Context, fn func(TuneProbe) error, o
 		o(&cfg)
 	}
 	cfg.Space = cfg.Space.WithDefaults(e.tech, e.window)
-	if cfg.Eval == nil && cfg.BatchEval == nil {
-		// Default evaluation is batched: each tuner round's probes are
-		// grouped by simulation identity, simulated once per (workload,
-		// FU-mix) group, and scored closed-form off the recorded profiles.
-		// A caller-supplied evaluator (WithTuneEvaluator — e.g. the sweep
-		// service's dispatch path) keeps the per-cell path.
-		cfg.BatchEval = func(ctx context.Context, cells []Cell) ([]CellResult, error) {
-			return e.RunCells(ctx, cells)
-		}
+	if cfg.BatchEval == nil {
+		cfg.BatchEval = e.RunCells
 	}
 	return optimize.Run(ctx, cfg, fn)
 }
