@@ -202,12 +202,9 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 func TestFaultContainedSweepCompletes(t *testing.T) {
 	inj := fault.New(3)
 	// Every third evaluation attempt fails transiently, five times total.
-	// The hit counter is shared by the concurrent workers, so one cell can
-	// draw several of the five faults in a row; five retries absorb them
-	// whatever the interleaving.
 	inj.Set(fault.CellTransient, fault.Spec{Every: 3, Times: 5})
 	eng := fusleep.NewEngine(fusleep.WithWindow(testWindow))
-	s := New(Config{Engine: eng, Fault: inj, MaxRetries: 5, RetryBase: time.Millisecond})
+	s := New(Config{Engine: eng, Fault: inj, MaxRetries: 2, RetryBase: time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()

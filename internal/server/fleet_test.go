@@ -290,8 +290,8 @@ func TestFleetTuneRunsThroughWorkers(t *testing.T) {
 // through a worker registered without a fetch loop: the round's second
 // probe fails while its first is still leased. The failure aborts the
 // round, so the first probe settles only as canceled, and the job must
-// report the second probe's failure — the first real error in input order
-// — rather than the context error that comes before it.
+// report the second probe's failure rather than the first probe's context
+// error, which comes before it in input order.
 func TestFleetTuneFailureOutranksAbortedProbes(t *testing.T) {
 	coord := fleet.NewCoordinator(fleet.Config{})
 	_, ts := newTestServer(t, Config{

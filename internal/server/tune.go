@@ -1,7 +1,6 @@
 package server
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -302,8 +301,7 @@ func (j *tuneJob) watch(offset int) (fresh []fusleep.TuneProbe, state string, up
 // dedupe through the simulation cache. Probe lifecycles land on the job's
 // trace, and each fleet worker that evaluated a probe is attributed to the
 // job. Results return in input order. A probe failure cancels the rest of
-// the round; the first real failure in input order is reported, and only
-// when there is none the round's context error.
+// the round; a real failure is reported before any context error.
 func (s *Server) roundDispatcher(job *tuneJob) fusleep.TuneBatchEvaluator {
 	return func(ctx context.Context, cells []fusleep.Cell) ([]fusleep.CellResult, error) {
 		ctx, cancel := context.WithCancel(ctx)
@@ -314,7 +312,6 @@ func (s *Server) roundDispatcher(job *tuneJob) fusleep.TuneBatchEvaluator {
 			err error
 		}
 		settled := make(chan outcome, len(cells)) // buffered: the callbacks never block
-		dispatched := 0
 		for i, c := range cells {
 			key := c.Key()
 			done := func(worker string, res fusleep.CellResult, err error) {
@@ -336,45 +333,37 @@ func (s *Server) roundDispatcher(job *tuneJob) fusleep.TuneBatchEvaluator {
 				err := json.Unmarshal(canon, &res)
 				done("", res, err)
 			}
+			// Dispatch is refused only once ctx is done, which the wait
+			// below reports.
 			if !s.dispatch(task{ctx: ctx, cell: c, key: key, trace: job.id, served: served, done: done}) {
 				break
 			}
-			dispatched++
 		}
 
 		results := make([]fusleep.CellResult, len(cells))
-		errs := make([]error, len(cells))
-		got := make([]bool, len(cells))
-		take := func(o outcome) { results[o.i], errs[o.i], got[o.i] = o.res, o.err, true }
-		for n := 0; n < dispatched && ctx.Err() == nil; {
+		for n := 0; n < len(cells); {
 			select {
 			case o := <-settled:
-				take(o)
-				n++
+				switch {
+				case o.err == nil:
+					results[o.i] = o.res
+					n++
+				case !isContextErr(o.err):
+					return nil, o.err
+				}
+				// A context error means the round is aborting: done cancels
+				// ctx, so the wait ends below.
 			case <-ctx.Done():
+				// A real failure settles before it cancels ctx, so it is
+				// buffered here and outranks the context error; only this
+				// goroutine receives, so the drain never blocks.
+				for len(settled) > 0 {
+					if o := <-settled; o.err != nil && !isContextErr(o.err) {
+						return nil, o.err
+					}
+				}
+				return nil, ctx.Err()
 			}
-		}
-		// Probes that settled before an abort count, the failure that caused
-		// it among them; only this goroutine receives, so these never block.
-		for len(settled) > 0 {
-			take(<-settled)
-		}
-		var aborted error
-		for i, err := range errs {
-			if !got[i] {
-				// Never dispatched, or still out when the round was aborted.
-				err = cmp.Or(ctx.Err(), context.Canceled)
-			}
-			switch {
-			case err == nil:
-			case !isContextErr(err):
-				return nil, err
-			case aborted == nil:
-				aborted = err
-			}
-		}
-		if aborted != nil {
-			return nil, aborted
 		}
 		return results, nil
 	}
