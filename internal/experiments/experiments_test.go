@@ -137,6 +137,49 @@ func TestSuiteCaching(t *testing.T) {
 	}
 }
 
+// TestCachedSuiteServedInline pins the warm path of SimSuiteMix: once
+// every program of a suite is cached, a call starts no goroutine and
+// allocates only the result map, and each request counts as a cache hit.
+func TestCachedSuiteServedInline(t *testing.T) {
+	r := NewRunner(Options{Window: 5_000})
+	ctx := context.Background()
+	names := []string{"gcc", "mcf", "vortex"}
+	mix := FUMix{IntALUs: 2}
+	want, err := r.SimSuiteMix(ctx, names, mix, 12, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := r.Stats()
+	allocs := testing.AllocsPerRun(200, func() {
+		got, err := r.SimSuiteMix(ctx, names, mix, 12, 0)
+		if err != nil || len(got) != len(names) {
+			t.Fatalf("warm suite: %d results, err %v", len(got), err)
+		}
+	})
+	// The map and its entries; Results are too large to sit in the map's
+	// slots, so each entry is one allocation.
+	if max := float64(2 + len(names)); allocs > max {
+		t.Errorf("warm %d-program suite: %.1f allocs per call, want <= %.0f", len(names), allocs, max)
+	}
+	after := r.Stats()
+	if after.Simulations != before.Simulations {
+		t.Errorf("warm suite simulated: %d -> %d runs", before.Simulations, after.Simulations)
+	}
+	if hits := after.CacheHits - before.CacheHits; hits != 201*uint64(len(names)) {
+		t.Errorf("warm suite counted %d cache hits, want %d", hits, 201*len(names))
+	}
+	got, err := r.SimSuiteMix(ctx, names, mix, 12, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if got[n].Cycles != want[n].Cycles || got[n].Committed != want[n].Committed {
+			t.Errorf("%s: cached result %d/%d cycles/insts, first run %d/%d",
+				n, got[n].Cycles, got[n].Committed, want[n].Cycles, want[n].Committed)
+		}
+	}
+}
+
 func TestSuiteCanceledBeforeStart(t *testing.T) {
 	r := NewRunner(Options{Window: 5_000_000})
 	ctx, cancel := context.WithCancel(context.Background())

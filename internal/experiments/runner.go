@@ -238,6 +238,26 @@ func (r *Runner) SimMix(ctx context.Context, bench string, mix FUMix, l2 int, wi
 	}
 }
 
+// cached returns the cached result of one benchmark request, counting
+// the hit, or false when the request would have to simulate or join an
+// in-flight run. It never blocks on a simulation.
+func (r *Runner) cached(bench string, mix FUMix, l2 int, window uint64) (pipeline.Result, bool) {
+	if r.opt.DisableCache {
+		return pipeline.Result{}, false
+	}
+	_, key, err := r.resolveKey(bench, mix, l2, window)
+	if err != nil {
+		return pipeline.Result{}, false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	res, ok := r.runs[key]
+	if ok {
+		r.cacheHits++
+	}
+	return res, ok
+}
+
 // resolveKey normalizes one benchmark request into its canonical cache
 // identity. Zero fields resolve to the machine defaults (the paper's
 // per-benchmark IntALU count, shared AGUs, Table 2 dedicated units, 12-cycle
@@ -295,9 +315,23 @@ func (r *Runner) SimSuite(ctx context.Context, benchmarks []string, fus, l2 int,
 }
 
 // SimSuiteMix is SimSuite with full per-class unit provisioning; cells that
-// share a class mix share their (cached) suite simulation.
+// share a class mix share their (cached) suite simulation. Cached results
+// are served inline; only the misses start a goroutine each.
 func (r *Runner) SimSuiteMix(ctx context.Context, benchmarks []string, mix FUMix, l2 int, window uint64) (map[string]pipeline.Result, error) {
-	ctx, cancel := context.WithCancel(ctx)
+	results := make(map[string]pipeline.Result, len(benchmarks))
+	var misses []string
+	for _, name := range benchmarks {
+		if res, ok := r.cached(name, mix, l2, window); ok {
+			results[name] = res
+		} else {
+			misses = append(misses, name)
+		}
+	}
+	if len(misses) == 0 {
+		return results, nil
+	}
+
+	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	type out struct {
@@ -305,16 +339,15 @@ func (r *Runner) SimSuiteMix(ctx context.Context, benchmarks []string, mix FUMix
 		res  pipeline.Result
 		err  error
 	}
-	ch := make(chan out, len(benchmarks))
-	for _, name := range benchmarks {
+	ch := make(chan out, len(misses))
+	for _, name := range misses {
 		go func(name string) {
-			res, err := r.SimMix(ctx, name, mix, l2, window)
+			res, err := r.SimMix(runCtx, name, mix, l2, window)
 			ch <- out{name, res, err}
 		}(name)
 	}
-	results := make(map[string]pipeline.Result, len(benchmarks))
 	var errs []error
-	for range benchmarks {
+	for range misses {
 		o := <-ch
 		if o.err != nil {
 			// First failure cancels the rest; their (likely context.Canceled)

@@ -53,7 +53,9 @@ var ErrTransient = fmt.Errorf("%w (transient)", ErrInjected)
 // per hit n (1-based, per point) as: n > After, and (n-After) is a
 // multiple of Every (Every <= 1 means every hit), and the point has fired
 // fewer than Times times (Times 0 = unlimited), and — when Prob is in
-// (0,1) — a deterministic hash of (seed, point, n) lands under Prob.
+// (0,1) — a deterministic hash of (seed, point, n) lands under Prob. A
+// site that consults the point through FireKey counts hits and firings
+// per key instead, and hashes the key in too.
 type Spec struct {
 	// Every fires on every k-th eligible hit (0 or 1 = every hit).
 	Every int
@@ -69,11 +71,18 @@ type Spec struct {
 	Delay time.Duration
 }
 
-// point is one armed fault point's spec and counters.
-type point struct {
-	spec  Spec
+// counter is one hit and firing tally.
+type counter struct {
 	hits  uint64
 	fired uint64
+}
+
+// point is one armed fault point's spec and counters: the totals over
+// every hit, and the per-key tallies that decide FireKey hits.
+type point struct {
+	spec Spec
+	counter
+	keys map[string]*counter
 }
 
 // Injector decides, deterministically from its seed and per-point
@@ -100,7 +109,15 @@ func (i *Injector) Set(name string, s Spec) {
 
 // Fire records one hit on the named point and reports whether the site
 // should misbehave now. Unarmed points (and nil injectors) never fire.
-func (i *Injector) Fire(name string) bool {
+func (i *Injector) Fire(name string) bool { return i.fire(name, "", false) }
+
+// FireKey is Fire for a site that acts on one keyed unit of work, such as
+// a cell: the point's Spec is applied to this key's own hits, so whether
+// a key's n-th hit fires does not depend on how concurrent workers
+// interleave hits on other keys. Hits and Fired still total every key.
+func (i *Injector) FireKey(name, key string) bool { return i.fire(name, key, true) }
+
+func (i *Injector) fire(name, key string, keyed bool) bool {
 	if i == nil {
 		return false
 	}
@@ -111,21 +128,36 @@ func (i *Injector) Fire(name string) bool {
 		return false
 	}
 	p.hits++
-	n := p.hits
+	c, coinName := &p.counter, name
+	if keyed {
+		if p.keys == nil {
+			p.keys = make(map[string]*counter)
+		}
+		if c = p.keys[key]; c == nil {
+			c = &counter{}
+			p.keys[key] = c
+		}
+		c.hits++
+		coinName = name + "\x00" + key
+	}
+	n := c.hits
 	s := p.spec
 	if n <= uint64(s.After) {
 		return false
 	}
-	if s.Times > 0 && p.fired >= uint64(s.Times) {
+	if s.Times > 0 && c.fired >= uint64(s.Times) {
 		return false
 	}
 	if s.Every > 1 && (n-uint64(s.After))%uint64(s.Every) != 0 {
 		return false
 	}
-	if s.Prob > 0 && s.Prob < 1 && !i.coin(name, n, s.Prob) {
+	if s.Prob > 0 && s.Prob < 1 && !i.coin(coinName, n, s.Prob) {
 		return false
 	}
-	p.fired++
+	c.fired++
+	if keyed {
+		p.fired++
+	}
 	return true
 }
 
@@ -192,7 +224,8 @@ func (i *Injector) String() string {
 }
 
 // coin is the deterministic biased coin for Prob thinning: a splitmix64
-// finalizer over (seed, point name, hit index) mapped onto [0, 1).
+// finalizer over (seed, point name or name+key, hit index) mapped onto
+// [0, 1).
 func (i *Injector) coin(name string, n uint64, prob float64) bool {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))

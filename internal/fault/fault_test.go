@@ -124,3 +124,66 @@ func TestErrTransientWrapsErrInjected(t *testing.T) {
 		t.Fatal("ErrTransient must wrap ErrInjected")
 	}
 }
+
+// TestFireKeyCountsPerKey pins FireKey's per-key semantics: each key's
+// hits are judged against the Spec on their own, so the outcome for one
+// key is the same however hits on other keys interleave with it, while
+// Hits and Fired still total every key.
+func TestFireKeyCountsPerKey(t *testing.T) {
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	outcomes := func(order []int) map[string][]bool {
+		i := New(11)
+		i.Set(CellTransient, Spec{Times: 2, Prob: 0.5})
+		out := map[string][]bool{}
+		for _, k := range order {
+			out[keys[k]] = append(out[keys[k]], i.FireKey(CellTransient, keys[k]))
+		}
+		return out
+	}
+	// Four hits per key, once key by key and once round-robin.
+	var byKey, interleaved []int
+	for k := range keys {
+		byKey = append(byKey, k, k, k, k)
+	}
+	for n := 0; n < 4; n++ {
+		for k := range keys {
+			interleaved = append(interleaved, k)
+		}
+	}
+	a, b := outcomes(byKey), outcomes(interleaved)
+	fires := 0
+	for _, k := range keys {
+		for n := range a[k] {
+			if a[k][n] != b[k][n] {
+				t.Fatalf("key %s hit %d: outcome depends on interleaving", k, n+1)
+			}
+			if a[k][n] {
+				fires++
+			}
+		}
+		perKey := 0
+		for _, f := range a[k] {
+			if f {
+				perKey++
+			}
+		}
+		if perKey > 2 {
+			t.Fatalf("key %s fired %d times, want at most Times=2", k, perKey)
+		}
+	}
+	if fires == 0 {
+		t.Fatal("no key fired at Prob 0.5 over 32 hits")
+	}
+
+	i := New(11)
+	i.Set(CellTransient, Spec{Times: 1})
+	for _, k := range byKey {
+		i.FireKey(CellTransient, keys[k])
+	}
+	if got := i.Hits(CellTransient); got != uint64(len(byKey)) {
+		t.Fatalf("Hits = %d, want %d", got, len(byKey))
+	}
+	if got := i.Fired(CellTransient); got != uint64(len(keys)) {
+		t.Fatalf("Fired = %d, want one per key (%d)", got, len(keys))
+	}
+}

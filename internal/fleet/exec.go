@@ -168,7 +168,10 @@ func (e *Executor) runOnce(ctx context.Context, c fusleep.Cell, attempt int) (re
 	if e.Fault.Fire(fault.CellPanic) {
 		panic("injected: " + fault.CellPanic)
 	}
-	if e.Fault.Fire(fault.CellTransient) {
+	// The transient fault is keyed per cell, so how often one cell fails
+	// does not depend on which other cells the workers evaluate meanwhile.
+	// Production runs have no injector, and skip building the key.
+	if e.Fault != nil && e.Fault.FireKey(fault.CellTransient, c.Key()) {
 		return fusleep.CellResult{}, &fusleep.CellError{
 			Key: c.Key(), Attempt: attempt, Transient: true, Err: fault.ErrTransient,
 		}

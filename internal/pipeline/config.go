@@ -55,6 +55,21 @@
 //     fupool_oracle_test.go; property and fuzz tests pin the two recorders
 //     to identical profiles.
 //
+//   - Quiescent cycles are skipped, not stepped. A cycle is quiescent when
+//     no stage can change any state: the ROB head has not completed, no
+//     completion is due, the ready list is empty, the fetch-queue head (if
+//     any) is held by a full ROB, load/store/issue queue or register file,
+//     and fetch is stalled on a mispredict, an I-cache miss, a full fetch
+//     queue or the end of the stream. Only a completion or the end of the
+//     I-cache stall can end such a stretch, so RunContext jumps c.cycle
+//     to the earliest of the next occupied wheel slot and that stall's
+//     end, never past a context poll or the deadlock watchdog, and charges
+//     the stall counter for the span in one add. dispatch and the skip
+//     test share one structural check (dispatchBlocked). The stepping loop
+//     survives as the test oracle in skip_oracle_test.go; property, cancel
+//     and fuzz tests require identical Results, and Result.QuietCycles
+//     (pinned for the paper machine) counts the cycles skipped.
+//
 //   - ROB, fetch queue, and store queue are fixed rings (the ROB mask is a
 //     power of two); cache and TLB indexing precompute shift/mask geometry;
 //     the one-instruction fetch lookahead is a value plus a flag rather

@@ -60,10 +60,8 @@ func newROB(size int) *reorderBuffer {
 func (r *reorderBuffer) full() bool { return r.count == r.size }
 
 // alloc returns the next tail slot for in-place filling, without claiming
-// it: dispatch writes the entry through the pointer and only then bumps
-// count, so a dispatch that bails mid-entry (no free physical register)
-// abandons the slot for free instead of copying a ~70-byte robEntry in and
-// out. The caller must bump r.count to commit the slot.
+// it: dispatch writes the entry through the pointer instead of copying a
+// ~70-byte robEntry in, and then bumps r.count to claim the slot.
 //
 //fusleepvet:hotpath
 func (r *reorderBuffer) alloc() (int, *robEntry) {
@@ -286,6 +284,7 @@ type CPU struct {
 
 	loadForwards  uint64
 	mispredStalls uint64
+	quietCycles   uint64
 	classCounts   [16]uint64
 	lastProgress  uint64
 	stopRequested bool
@@ -417,18 +416,32 @@ func (c *CPU) Run() (Result, error) { return c.RunContext(context.Background()) 
 // partial measurement up to the abort cycle is returned alongside the
 // error, with every pool flushed so the profiles cover the simulated
 // horizon exactly — open idle runs are closed, never dropped.
+//
+// The loop steps commit, complete, issue, dispatch and fetch once per
+// cycle, except across quiescent cycles — cycles in which no stage can
+// change any state (see quiet). It jumps those in one move to the next
+// cycle that can (see skipQuiet), so memory-bound stretches cost one
+// test instead of one pass of every stage per cycle. Every Result field
+// is identical to stepping cycle by cycle: the jump never crosses a
+// completion, the end of a fetch stall, a context poll or the deadlock
+// watchdog, and it settles the per-cycle stall counter in one add. The
+// stepping loop survives as the test oracle in skip_oracle_test.go.
 func (c *CPU) RunContext(ctx context.Context) (Result, error) {
 	defer c.stream.Close()
 	for !c.finished() {
-		c.commit()
-		if c.stopRequested {
-			break
+		if c.quiet() {
+			c.skipQuiet()
+		} else {
+			c.commit()
+			if c.stopRequested {
+				break
+			}
+			c.complete()
+			c.issue()
+			c.dispatch()
+			c.fetch()
+			c.cycle++
 		}
-		c.complete()
-		c.issue()
-		c.dispatch()
-		c.fetch()
-		c.cycle++
 		if c.cycle&ctxCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
 				c.flushPools()
@@ -443,6 +456,75 @@ func (c *CPU) RunContext(ctx context.Context) (Result, error) {
 	}
 	c.flushPools()
 	return c.result(), nil
+}
+
+// quiet reports whether the current cycle is quiescent: commit, complete,
+// issue, dispatch and fetch would all leave every piece of state as it is,
+// apart from fetch's stall counter. That holds when
+//   - the ROB is empty or its head has not completed (commit retires
+//     nothing),
+//   - the event wheel holds no completion for this cycle (complete wakes
+//     nothing),
+//   - the ready list is empty (issue selects nothing),
+//   - the fetch queue is empty or its head is held by a structural limit
+//     (dispatch renames nothing), and
+//   - fetch is stalled: a mispredict awaits resolution, an I-cache miss
+//     is still being served, the fetch queue is full, or the stream is
+//     exhausted.
+//
+// Only commit and issue free the structures dispatch waits on, and only a
+// completion ends a mispredict stall or readies an instruction, so a
+// quiescent cycle stays quiescent until the next completion or the end of
+// the I-cache stall.
+//
+//fusleepvet:hotpath
+func (c *CPU) quiet() bool {
+	if len(c.readyQ) > 0 || len(c.wheel[c.cycle&c.wheelMask]) > 0 {
+		return false
+	}
+	if c.rob.count > 0 && c.rob.at(0).state == stDone {
+		return false
+	}
+	if c.fetchQ.count > 0 && !c.dispatchBlocked(&c.fetchQ.front().inst) {
+		return false
+	}
+	return c.redirectPending || c.cycle < c.fetchBlockedTill || c.fetchQ.full() ||
+		(c.eof && c.bufPos >= len(c.buf))
+}
+
+// skipQuiet advances c.cycle from a quiescent cycle to the earliest cycle
+// that may not be: the next occupied wheel slot, or the end of an I-cache
+// stall that is not waiting on a mispredict. The jump also stops at the
+// next context poll and at the cycle the deadlock watchdog fires, so a
+// run is cancelled or declared deadlocked at exactly the cycle the
+// stepping loop would pick. Fetch's stall counter is charged for the
+// whole span in one add when fetch was stalled on a mispredict or a miss;
+// a full fetch queue or an exhausted stream is not a stall.
+//
+//fusleepvet:hotpath
+func (c *CPU) skipQuiet() {
+	t := c.cycle
+	end := (t | ctxCheckMask) + 1
+	if wd := c.lastProgress + deadlockWindow + 1; wd < end {
+		end = wd
+	}
+	stalled := c.redirectPending || t < c.fetchBlockedTill
+	if !c.redirectPending && t < c.fetchBlockedTill && c.fetchBlockedTill < end {
+		end = c.fetchBlockedTill
+	}
+	// Every pending completion lies within one wheel revolution, so a scan
+	// of one revolution finds the next one or proves there is none.
+	for s, last := t+1, t+c.wheelMask; s < end && s <= last; s++ {
+		if len(c.wheel[s&c.wheelMask]) > 0 {
+			end = s
+			break
+		}
+	}
+	if stalled {
+		c.mispredStalls += end - t
+	}
+	c.quietCycles += end - t
+	c.cycle = end
 }
 
 // flushPools settles every class pool's open busy/idle run against the
@@ -472,6 +554,7 @@ func (c *CPU) result() Result {
 		DTLB:                  c.dtlb.Stats(),
 		LoadForwards:          c.loadForwards,
 		FetchMispredictStalls: c.mispredStalls,
+		QuietCycles:           c.quietCycles,
 		ClassCounts:           c.classCounts,
 	}
 	// FUs and the IntALU class entry are the same view; share one snapshot
@@ -608,35 +691,53 @@ func (c *CPU) renamerFor(r isa.Reg) (*renamer, int) {
 	return c.intRen, int(r)
 }
 
+// dispatchBlocked reports whether a structural limit holds in at the head
+// of the fetch queue: the ROB is full, the instruction's load, store or
+// issue queue is full, or its destination has no free physical register.
+// dispatch stops at such an instruction, and quiet treats it as leaving
+// dispatch idle, so the two read the one rule.
+//
+//fusleepvet:hotpath
+func (c *CPU) dispatchBlocked(in *isa.Inst) bool {
+	if c.rob.full() {
+		return true
+	}
+	switch {
+	case in.Class == isa.Load:
+		if c.lqCount >= c.cfg.LoadQSize {
+			return true
+		}
+	case in.Class == isa.Store:
+		if c.storeQ.count >= c.cfg.StoreQSize {
+			return true
+		}
+	case in.Class.IsFP():
+		if c.fpIQCount >= c.cfg.FPIQSize {
+			return true
+		}
+	case in.Class != isa.Nop:
+		if c.intIQCount >= c.cfg.IntIQSize {
+			return true
+		}
+	}
+	if in.Dest == isa.RegNone {
+		return false
+	}
+	ren, _ := c.renamerFor(in.Dest)
+	return !ren.canAllocate()
+}
+
 //fusleepvet:hotpath
 func (c *CPU) dispatch() {
 	for n := 0; n < c.cfg.DecodeWidth && c.fetchQ.count > 0; n++ {
 		fe := c.fetchQ.front()
 		in := &fe.inst
-		if c.rob.full() {
+		if c.dispatchBlocked(in) {
 			return
 		}
-		switch {
-		case in.Class == isa.Load:
-			if c.lqCount >= c.cfg.LoadQSize {
-				return
-			}
-		case in.Class == isa.Store:
-			if c.storeQ.count >= c.cfg.StoreQSize {
-				return
-			}
-		case in.Class.IsFP():
-			if c.fpIQCount >= c.cfg.FPIQSize {
-				return
-			}
-		case in.Class != isa.Nop:
-			if c.intIQCount >= c.cfg.IntIQSize {
-				return
-			}
-		}
-		// Fill the tail ROB slot in place; the slot is only claimed
-		// (count++) once rename succeeds, so bailing on a full renamer
-		// abandons the half-written slot with no copy-out.
+		// Fill the tail ROB slot in place. Sources are looked up before
+		// the destination is renamed, so an instruction that reads its own
+		// destination register sees the previous mapping.
 		idx, e := c.rob.alloc()
 		e.seq = in.Seq
 		e.addr = in.Addr
@@ -650,9 +751,6 @@ func (c *CPU) dispatch() {
 		e.mispredict = fe.mispredict
 		if in.Dest != isa.RegNone {
 			ren, arch := c.renamerFor(in.Dest)
-			if !ren.canAllocate() {
-				return
-			}
 			newPhys, oldPhys, _ := ren.allocate(arch)
 			e.dest = physRef{idx: newPhys, fp: in.Dest.IsFP()}
 			e.oldPhys = oldPhys

@@ -40,6 +40,12 @@ type Result struct {
 	FetchMispredictStalls uint64
 	// ClassCounts tallies committed instructions by class index.
 	ClassCounts [16]uint64
+	// QuietCycles counts the quiescent cycles the run loop jumped over
+	// instead of stepping: cycles in which no pipeline stage could change
+	// any state. It describes how the simulator ran, not the simulated
+	// machine, so it stays out of the JSON form and the golden captures;
+	// it is deterministic all the same.
+	QuietCycles uint64 `json:"-"`
 
 	// Classes holds the per-class activity profiles in fu.Class order. The
 	// AGU class appears only when the machine has a dedicated AGU pool;
