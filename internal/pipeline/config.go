@@ -61,7 +61,7 @@
 //     any) is held by a full ROB, load/store/issue queue or register file,
 //     and fetch is stalled on a mispredict, an I-cache miss, a full fetch
 //     queue or the end of the stream. Only a completion or the end of the
-//     I-cache stall can end such a stretch, so RunContext jumps c.cycle
+//     I-cache stall can end such a stretch, so RunContext jumps the clock
 //     to the earliest of the next occupied wheel slot and that stall's
 //     end, never past a context poll or the deadlock watchdog, and charges
 //     the stall counter for the span in one add. dispatch and the skip
