@@ -281,29 +281,20 @@ func (e *Engine) Simulate(ctx context.Context, name string, opts ...SimOption) (
 		FetchMispredictStalls: res.FetchMispredictStalls,
 		MeanFUUtilization:     res.MeanFUUtilization(),
 	}
+	// Clones, so a report the caller mutates never aliases the runner's
+	// cached simulation results.
 	for i := range res.FUs {
-		rep.FUProfiles = append(rep.FUProfiles, toIdleProfile(&res.FUs[i]))
+		rep.FUProfiles = append(rep.FUProfiles, res.FUs[i].Clone())
 	}
 	rep.ClassProfiles = make(map[FUClass][]*IdleProfile, len(res.Classes))
 	for _, cp := range res.Classes {
 		profs := make([]*IdleProfile, 0, len(cp.Units))
 		for i := range cp.Units {
-			profs = append(profs, toIdleProfile(&cp.Units[i]))
+			profs = append(profs, cp.Units[i].Clone())
 		}
 		rep.ClassProfiles[cp.Class] = profs
 	}
 	return rep, nil
-}
-
-// toIdleProfile copies a recorded unit profile, so a report the caller
-// mutates never aliases the runner's cached simulation results.
-func toIdleProfile(prof *IdleProfile) *IdleProfile {
-	p := core.NewIdleProfileSized(len(prof.Intervals))
-	p.ActiveCycles = prof.ActiveCycles
-	for _, l := range prof.SortedLengths() {
-		p.AddIdle(l, prof.Intervals[l])
-	}
-	return p
 }
 
 // Experiments lists every table/figure reproduction and extension.

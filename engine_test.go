@@ -339,3 +339,33 @@ func TestSimulateReportDoesNotAliasCache(t *testing.T) {
 		t.Errorf("simulations = %d, want 1: every read must come off the one cached run", n)
 	}
 }
+
+// TestRunCellWarmAllocs bounds a warm three-program RunCell at its
+// measured 13 allocations under every policy: cell resolution, batch
+// grouping, the cached suite map and the result, with none from scoring
+// the idle profiles. A change that adds allocations to the warm path must
+// re-measure this bound and say why.
+func TestRunCellWarmAllocs(t *testing.T) {
+	ctx := context.Background()
+	e := NewEngine(WithWindow(5_000))
+	cell := Cell{
+		Tech:       DefaultTech(),
+		Benchmarks: []string{"gcc", "mcf", "vortex"},
+		Alpha:      0.5,
+		L2Latency:  12,
+	}
+	if _, err := e.RunCell(ctx, cell); err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []Policy{AlwaysActive, MaxSleep, NoOverhead, GradualSleep, OracleMinimal, SleepTimeout} {
+		cell.Policy = PolicyConfig{Policy: pol}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := e.RunCell(ctx, cell); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 13 {
+			t.Errorf("%v: warm RunCell made %.1f allocs, want <= 13", pol, allocs)
+		}
+	}
+}

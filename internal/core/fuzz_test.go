@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -83,15 +82,21 @@ func FuzzPolicyConfigJSON(f *testing.F) {
 }
 
 // FuzzIdleProfileOrder asserts that how a profile is built never shows in
-// what it reports: the same (length, count) multiset built by ascending
-// AddIdle, by AddIdle in arbitrary order, and as a struct literal yields
-// equal SortedLengths, bit-identical ProfileCounts under every policy, and
-// identical JSON. The fuzz bytes decode as a 4-byte active-cycle count
-// followed by 3-byte (length, count) pairs.
+// what it reports. The same (length, count) multiset built by ascending
+// AddIdle, by AddIdle in arbitrary order with each count split over two
+// calls (so every length repeats), by Merge of two halves (one with
+// columns, one a struct literal), by decoding its JSON, and as a struct
+// literal yields equal SortedLengths, identical JSON, and ProfileCounts
+// equal bit for bit to the map-walk reference at every scoredConfigs point
+// (breakeven and timeout thresholds on recorded lengths included). The
+// multiset with every count shifted left 40 bits, whose idle total can
+// pass 2^53, is scored against the reference too. The fuzz bytes decode
+// as a 4-byte active-cycle count followed by 3-byte (length, count) pairs.
 func FuzzIdleProfileOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{100, 0, 0, 0, 5, 0, 2, 1, 0, 1})
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 3, 10, 0, 1, 2, 0, 7, 10, 0, 4, 255, 255, 1})
+	f.Add([]byte{9, 0, 0, 0, exactBreakeven - 1, 0, 3, 6, 0, 1, exactBreakeven - 1, 0, 2, 200, 0, 9, 0, 32, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var active uint64
 		if len(data) >= 4 {
@@ -101,29 +106,47 @@ func FuzzIdleProfileOrder(f *testing.F) {
 		literal := &IdleProfile{ActiveCycles: active, Intervals: map[int]uint64{}}
 		shuffled := NewIdleProfile()
 		shuffled.ActiveCycles = active
-		for ; len(data) >= 3; data = data[3:] {
+		half := NewIdleProfile()
+		half.ActiveCycles = active / 2
+		otherHalf := &IdleProfile{ActiveCycles: active - active/2, Intervals: map[int]uint64{}}
+		wide := NewIdleProfile()
+		wideLiteral := &IdleProfile{Intervals: map[int]uint64{}}
+		for i := 0; len(data) >= 3; i, data = i+1, data[3:] {
 			l := 1 + int(binary.LittleEndian.Uint16(data))
 			c := 1 + uint64(data[2])
 			literal.Intervals[l] += c
-			shuffled.AddIdle(l, c)
+			shuffled.AddIdle(l, c/2)
+			shuffled.AddIdle(l, c-c/2)
+			if i%2 == 0 {
+				half.AddIdle(l, c)
+			} else {
+				otherHalf.Intervals[l] += c
+			}
+			wide.AddIdle(l, c<<40)
+			wideLiteral.Intervals[l] += c << 40
 		}
-		keys := make([]int, 0, len(literal.Intervals))
-		for l := range literal.Intervals {
-			keys = append(keys, l)
-		}
-		sort.Ints(keys)
+		keys := sortedKeys(literal)
 		ascending := NewIdleProfile()
 		ascending.ActiveCycles = active
 		for _, l := range keys {
 			ascending.AddIdle(l, literal.Intervals[l])
 		}
+		merged := NewIdleProfile()
+		merged.Merge(half)
+		merged.Merge(otherHalf)
 
 		want := profileCounts(t, ascending)
 		wantJSON, err := json.Marshal(ascending)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, p := range map[string]*IdleProfile{"shuffled": shuffled, "literal": literal} {
+		decoded := &IdleProfile{}
+		if err := json.Unmarshal(wantJSON, decoded); err != nil {
+			t.Fatal(err)
+		}
+		for name, p := range map[string]*IdleProfile{
+			"shuffled": shuffled, "literal": literal, "merged": merged, "decoded": decoded,
+		} {
 			if got := p.SortedLengths(); !slices.Equal(got, keys) {
 				t.Errorf("%s SortedLengths = %v, want %v", name, got, keys)
 			}
@@ -140,6 +163,9 @@ func FuzzIdleProfileOrder(f *testing.F) {
 		}
 		if !slices.Equal(ascending.SortedLengths(), keys) {
 			t.Errorf("ascending SortedLengths = %v, want %v", ascending.SortedLengths(), keys)
+		}
+		if got := profileCounts(t, wide); !sameCounts(got, profileCounts(t, wideLiteral)) {
+			t.Errorf("wide ProfileCounts = %+v, literal %+v", got, profileCounts(t, wideLiteral))
 		}
 	})
 }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -236,13 +240,122 @@ var allPolicies = []PolicyConfig{
 	{Policy: GradualSleep}, {Policy: OracleMinimal}, {Policy: SleepTimeout},
 }
 
-// profileCounts evaluates every policy over prof.
+// exactTech has a breakeven of exactly exactBreakeven cycles at alpha 0.5
+// (c = 0 and no sleep overhead: 0.5 / (0.125 * 0.5)), so a profile that
+// records that length puts OracleMinimal's >= and SleepTimeout's default
+// threshold on a recorded length.
+var exactTech = Tech{P: 0.125, Duty: 0.5}
+
+const exactBreakeven = 8
+
+// scoredConfig is one (technology, activity, policy) point to score.
+type scoredConfig struct {
+	tech  Tech
+	alpha float64
+	pc    PolicyConfig
+}
+
+// scoredConfigs lists the points every profile is scored at: each policy
+// at its defaults under the paper's technology and under exactTech,
+// several GradualSleep slice counts, and explicit SleepTimeout thresholds,
+// one of them equal to a recorded length of prof.
+func scoredConfigs(prof *IdleProfile) []scoredConfig {
+	var out []scoredConfig
+	for _, tech := range []Tech{DefaultTech(), exactTech} {
+		for _, pc := range allPolicies {
+			out = append(out, scoredConfig{tech, 0.5, pc})
+		}
+	}
+	for _, k := range []int{1, 3, 16, 200} {
+		out = append(out, scoredConfig{DefaultTech(), 0.5, PolicyConfig{Policy: GradualSleep, Slices: k}})
+	}
+	timeouts := []int{1, exactBreakeven, 100, 70000}
+	if keys := sortedKeys(prof); len(keys) > 0 {
+		timeouts = append(timeouts, keys[len(keys)/2])
+	}
+	for _, T := range timeouts {
+		out = append(out, scoredConfig{DefaultTech(), 0.5, PolicyConfig{Policy: SleepTimeout, Timeout: T}})
+	}
+	return out
+}
+
+// sortedKeys returns the interval lengths of prof's map in ascending
+// order, read from the map alone.
+func sortedKeys(prof *IdleProfile) []int {
+	keys := make([]int, 0, len(prof.Intervals))
+	for l := range prof.Intervals {
+		keys = append(keys, l)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
+// mapWalkCounts is the reference ProfileCounts: the whole-profile
+// policies sum the Intervals map, and the per-length ones walk its sorted
+// keys with one map lookup per length, accumulating float64 sums in
+// ascending order. ProfileCounts must equal it bit for bit.
+func mapWalkCounts(t Tech, pc PolicyConfig, alpha float64, prof *IdleProfile) CycleCounts {
+	var idle, num uint64
+	for l, c := range prof.Intervals {
+		idle += uint64(l) * c
+		num += c
+	}
+	cc := CycleCounts{Active: float64(prof.ActiveCycles)}
+	switch pc.Policy {
+	case AlwaysActive:
+		cc.UncontrolledIdle = float64(idle)
+	case MaxSleep:
+		cc.Sleep = float64(idle)
+		cc.Transitions = float64(num)
+	case NoOverhead:
+		cc.Sleep = float64(idle)
+	case GradualSleep:
+		k := pc.slices(t, alpha)
+		for _, l := range sortedKeys(prof) {
+			ui, slp, trans := gradualSplit(float64(l), k)
+			nf := float64(prof.Intervals[l])
+			cc.UncontrolledIdle += nf * ui
+			cc.Sleep += nf * slp
+			cc.Transitions += nf * trans
+		}
+	case OracleMinimal:
+		be := t.Breakeven(alpha)
+		for _, l := range sortedKeys(prof) {
+			nf := float64(prof.Intervals[l])
+			if float64(l) >= be {
+				cc.Sleep += nf * float64(l)
+				cc.Transitions += nf
+			} else {
+				cc.UncontrolledIdle += nf * float64(l)
+			}
+		}
+	case SleepTimeout:
+		T := pc.timeout(t, alpha)
+		for _, l := range sortedKeys(prof) {
+			ui, slp, trans := timeoutSplit(float64(l), T)
+			nf := float64(prof.Intervals[l])
+			cc.UncontrolledIdle += nf * ui
+			cc.Sleep += nf * slp
+			cc.Transitions += nf * trans
+		}
+	default:
+		panic(fmt.Sprintf("mapWalkCounts: unknown policy %v", pc.Policy))
+	}
+	return cc
+}
+
+// profileCounts scores prof at every scoredConfigs point and reports each
+// one whose counts differ, in any bit, from the map-walk reference.
 func profileCounts(t testing.TB, prof *IdleProfile) []CycleCounts {
-	out := make([]CycleCounts, len(allPolicies))
-	for i, pc := range allPolicies {
-		cc, err := DefaultTech().ProfileCounts(pc, 0.5, prof)
+	configs := scoredConfigs(prof)
+	out := make([]CycleCounts, len(configs))
+	for i, sc := range configs {
+		cc, err := sc.tech.ProfileCounts(sc.pc, sc.alpha, prof)
 		if err != nil {
 			t.Error(err)
+		}
+		if want := mapWalkCounts(sc.tech, sc.pc, sc.alpha, prof); !sameCounts([]CycleCounts{cc}, []CycleCounts{want}) {
+			t.Errorf("%+v at %+v: ProfileCounts %+v, map walk %+v", sc.pc, sc.tech, cc, want)
 		}
 		out[i] = cc
 	}
@@ -302,6 +415,207 @@ func TestIdleProfileConcurrentReads(t *testing.T) {
 			if !sameCounts(pair[i], want) {
 				t.Errorf("goroutine %d: %s profile counts %+v, want %+v", g, name, pair[i], want)
 			}
+		}
+	}
+}
+
+// checkColumns asserts that p has columns and that they match its map:
+// the sorted keys, and the inclusive prefix sums of count and of
+// count×length.
+func checkColumns(t *testing.T, name string, p *IdleProfile) {
+	t.Helper()
+	if !p.hasColumns() {
+		t.Fatalf("%s: columns dropped (%d lengths, %d keys)", name, len(p.lengths), len(p.Intervals))
+	}
+	keys := sortedKeys(p)
+	if !slices.Equal(p.lengths, keys) || len(p.cumN) != len(keys) || len(p.cumL) != len(keys) {
+		t.Fatalf("%s: columns %v / %d / %d, keys %v", name, p.lengths, len(p.cumN), len(p.cumL), keys)
+	}
+	var sumN, sumL uint64
+	for i, l := range keys {
+		sumN += p.Intervals[l]
+		sumL += p.Intervals[l] * uint64(l)
+		if p.cumN[i] != sumN || p.cumL[i] != sumL {
+			t.Fatalf("%s: prefix sums at %d (length %d) = %d, %d; want %d, %d", name, i, l, p.cumN[i], p.cumL[i], sumN, sumL)
+		}
+	}
+}
+
+// TestIdleProfileColumnsTrackWrites keeps the columns equal to the map
+// under every write: ascending appends, out-of-order inserts, repeats of
+// a seen length (first, middle and last), and merges from profiles with
+// and without columns, including a profile merged into itself.
+func TestIdleProfileColumnsTrackWrites(t *testing.T) {
+	p := NewIdleProfileSized(4)
+	for _, l := range []int{2, 5, 9, 30} {
+		p.AddIdle(l, uint64(l))
+	}
+	checkColumns(t, "ascending", p)
+	if cap(p.lengths) != 4 || cap(p.cumN) != 4 || cap(p.cumL) != 4 {
+		t.Errorf("presized columns grew: caps %d, %d, %d", cap(p.lengths), cap(p.cumN), cap(p.cumL))
+	}
+	for _, w := range [][2]int{{1, 3}, {7, 1}, {40, 2}, {9, 4}, {1, 1}, {40, 5}, {5, 2}} {
+		p.AddIdle(w[0], uint64(w[1]))
+		checkColumns(t, fmt.Sprintf("after AddIdle(%d, %d)", w[0], w[1]), p)
+	}
+
+	other := NewIdleProfile()
+	other.AddIdle(3, 2)
+	other.AddIdle(9, 1)
+	other.AddIdle(500, 7)
+	literal := &IdleProfile{Intervals: map[int]uint64{1: 2, 4: 1, 40: 3, 1000: 1}}
+	p.Merge(other)
+	checkColumns(t, "merged with columns", p)
+	p.Merge(literal)
+	checkColumns(t, "merged with literal", p)
+	p.Merge(p)
+	checkColumns(t, "merged with itself", p)
+	if cap(p.lengths) != len(p.lengths) {
+		t.Errorf("merged columns sized %d for %d lengths", cap(p.lengths), len(p.lengths))
+	}
+	profileCounts(t, p)
+
+	var zero IdleProfile
+	zero.Merge(literal)
+	checkColumns(t, "zero value merged with literal", &zero)
+
+	// Like AddIdle, Merge skips a literal's zero length and zero count.
+	zero.Merge(&IdleProfile{Intervals: map[int]uint64{0: 4, 5: 1, 9: 0}})
+	checkColumns(t, "merged with a zero length and a zero count", &zero)
+	if _, ok := zero.Intervals[0]; ok || zero.Intervals[5] != 1 || len(zero.Intervals) != 5 {
+		t.Errorf("merged intervals = %v, want the literal's plus 5:1", zero.Intervals)
+	}
+}
+
+// TestProfileCountsMatchMapWalk scores profiles built every way a caller
+// can build one against the map-walk reference, bit for bit.
+func TestProfileCountsMatchMapWalk(t *testing.T) {
+	breakeven := NewIdleProfile()
+	breakeven.ActiveCycles = 1000
+	for _, l := range []int{1, exactBreakeven - 1, exactBreakeven, exactBreakeven + 1, 64} {
+		breakeven.AddIdle(l, 3)
+	}
+	if be := exactTech.Breakeven(0.5); be != exactBreakeven {
+		t.Fatalf("exactTech breakeven = %v, want exactly %d", be, exactBreakeven)
+	}
+
+	repeated := NewIdleProfile()
+	repeated.ActiveCycles = 77
+	for _, w := range [][2]int{{12, 1}, {3, 5}, {12, 2}, {300, 1}, {3, 1}, {300, 4}, {1, 9}, {12, 1}} {
+		repeated.AddIdle(w[0], uint64(w[1]))
+	}
+
+	merged := NewIdleProfile()
+	merged.Merge(breakeven)
+	merged.Merge(repeated)
+	merged.Merge(&IdleProfile{ActiveCycles: 4, Intervals: map[int]uint64{5: 1, 12: 6, 4096: 2}})
+
+	literal := &IdleProfile{ActiveCycles: 9, Intervals: map[int]uint64{exactBreakeven: 2, 2: 11, 70001: 1, 100: 3}}
+	data, err := json.Marshal(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded IdleProfile
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+
+	// A literal can hold lengths AddIdle ignores.
+	nonPositive := &IdleProfile{ActiveCycles: 3, Intervals: map[int]uint64{0: 4, -3: 2, 5: 1, 9: 0}}
+
+	for name, p := range map[string]*IdleProfile{
+		"empty": NewIdleProfile(), "zero": {}, "breakeven": breakeven, "repeated": repeated,
+		"merged": merged, "literal": literal, "decoded": &decoded, "non-positive": nonPositive,
+	} {
+		t.Run(name, func(t *testing.T) { profileCounts(t, p) })
+	}
+}
+
+// TestIdleProfileAt2To53 takes an AddIdle-built profile's idle total to
+// exactly 2^53. The columns hold until the write that reaches it and are
+// dropped there; from then on the profile is scored through per-call
+// views, which must match the map walk bit for bit even where float64
+// sums round, and which the prefix-difference closed forms would not.
+func TestIdleProfileAt2To53(t *testing.T) {
+	p := NewIdleProfile()
+	p.ActiveCycles = 12345
+	p.AddIdle(1, 1)
+	p.AddIdle(1<<20, 1<<33-1)
+	p.AddIdle(7, 1<<17)
+	checkColumns(t, "below 2^53", p)
+	profileCounts(t, p)
+	if rest := uint64(exactLimit) - p.IdleCycles(); rest != 131071 {
+		t.Fatalf("idle total %d short of 2^53, want 131071", rest)
+	}
+
+	p.AddIdle(131071, 1)
+	if p.hasColumns() || p.IdleCycles() != exactLimit {
+		t.Fatalf("at 2^53: columns kept %v, idle %d", p.hasColumns(), p.IdleCycles())
+	}
+	for _, w := range [][2]uint64{{3, 1<<52 + 1}, {9, 5}, {1 << 21, 3}, {5, 1<<50 + 7}, {131071, 1}} {
+		p.AddIdle(int(w[0]), w[1])
+	}
+	want := profileCounts(t, p)
+	if !slices.Equal(p.SortedLengths(), sortedKeys(p)) {
+		t.Errorf("SortedLengths = %v, want %v", p.SortedLengths(), sortedKeys(p))
+	}
+
+	// Merged into a profile with columns, the total drops them too.
+	m := NewIdleProfile()
+	m.AddIdle(2, 1)
+	m.Merge(p)
+	if m.hasColumns() {
+		t.Error("merge past 2^53 kept the columns")
+	}
+	profileCounts(t, m)
+
+	// Two profiles whose columns each hold merge past 2^53.
+	a, b := NewIdleProfile(), NewIdleProfile()
+	a.AddIdle(1<<20, 1<<32)
+	b.AddIdle(3, 1)
+	b.AddIdle(1<<20, 1<<32)
+	checkColumns(t, "half of 2^53", b)
+	a.Merge(b)
+	if a.hasColumns() || a.IdleCycles() != exactLimit+3 {
+		t.Errorf("merge to 2^53+3: columns kept %v, idle %d", a.hasColumns(), a.IdleCycles())
+	}
+	profileCounts(t, a)
+
+	// The closed forms would round differently here: forcing the view
+	// exact must change some policy's counts, or this profile does not
+	// exercise the ascending walk it falls back to.
+	v := p.columns()
+	if v.exact {
+		t.Fatal("view of a 2^53 profile reports exact")
+	}
+	v.exact = true
+	differs := false
+	for i, sc := range scoredConfigs(p) {
+		if !sameCounts([]CycleCounts{sc.tech.scoreColumns(sc.pc, sc.alpha, p.ActiveCycles, v)}, want[i:i+1]) {
+			differs = true
+		}
+	}
+	if !differs {
+		t.Error("prefix differences matched the walk on every policy; the profile does not round")
+	}
+}
+
+// TestProfileCountsAllocs pins scoring an AddIdle-built profile at zero
+// allocations for every policy, explicit parameters included.
+func TestProfileCountsAllocs(t *testing.T) {
+	p := NewIdleProfile()
+	p.ActiveCycles = 900
+	for _, w := range [][2]int{{4, 2}, {1, 7}, {exactBreakeven, 3}, {250, 1}, {4, 1}, {33, 5}} {
+		p.AddIdle(w[0], uint64(w[1]))
+	}
+	for _, sc := range scoredConfigs(p) {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := sc.tech.ProfileCounts(sc.pc, sc.alpha, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%+v: %.1f allocs per ProfileCounts, want 0", sc.pc, allocs)
 		}
 	}
 }

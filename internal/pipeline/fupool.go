@@ -132,16 +132,24 @@ func (p *classPool) flush(end uint64) {
 }
 
 // profiles snapshots the pool's per-unit activity into self-contained
-// energy-model profiles (interval maps copied). Each unit's lengths are fed
-// to AddIdle in ascending order — the short array, then the sorted
-// long-tail keys — so the profiles are born sorted and evaluation never
-// sorts.
+// energy-model profiles (interval maps copied). Each profile is sized for
+// its distinct lengths — the nonzero short buckets plus the long-tail keys
+// — and fed to AddIdle in ascending order (the short array, then the
+// sorted long-tail keys), so the profiles are born sorted, every AddIdle
+// appends, and nothing grows after the first allocation.
 func (p *classPool) profiles() []core.IdleProfile {
 	out := make([]core.IdleProfile, len(p.busyUntil))
 	for i := range out {
-		prof := core.NewIdleProfileSized(len(p.intervals[i]))
+		short := p.short[i*shortRunCap : (i+1)*shortRunCap]
+		n := len(p.intervals[i])
+		for _, c := range short {
+			if c != 0 {
+				n++
+			}
+		}
+		prof := core.NewIdleProfileSized(n)
 		prof.ActiveCycles = p.active[i]
-		for l, c := range p.short[i*shortRunCap : (i+1)*shortRunCap] {
+		for l, c := range short {
 			prof.AddIdle(l, c)
 		}
 		long := make([]int, 0, len(p.intervals[i]))
