@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/archsim/fusleep/internal/core"
+	"github.com/archsim/fusleep/internal/fu"
 )
 
 // batchVariants builds N policy variants of one machine: same workload,
@@ -121,4 +122,40 @@ func evalOne(ctx context.Context, r *Runner, c Cell) (CellResult, error) {
 		return CellResult{}, err
 	}
 	return out[0], nil
+}
+
+// TestSameMachineMatchesSimKey holds EvalCells' adjacent-cell shortcut to
+// SimKey: two cells are the same machine exactly when their SimKeys are
+// equal, for a change to each SimKey field and to each field SimKey
+// leaves out.
+func TestSameMachineMatchesSimKey(t *testing.T) {
+	base := batchVariants(t)[0]
+	base.Benchmarks = []string{"gcc", "mcf"}
+	variants := map[string]func(c *Cell){
+		"fus":           func(c *Cell) { c.FUs++ },
+		"agus":          func(c *Cell) { c.AGUs = 2 },
+		"mults":         func(c *Cell) { c.Mults = 2 },
+		"fpalus":        func(c *Cell) { c.FPALUs = 2 },
+		"fpmults":       func(c *Cell) { c.FPMults = 2 },
+		"l2":            func(c *Cell) { c.L2Latency++ },
+		"window":        func(c *Cell) { c.Window++ },
+		"benchmarks":    func(c *Cell) { c.Benchmarks = []string{"gcc", "vpr"} },
+		"bench order":   func(c *Cell) { c.Benchmarks = []string{"mcf", "gcc"} },
+		"bench subset":  func(c *Cell) { c.Benchmarks = []string{"gcc"} },
+		"policy":        func(c *Cell) { c.Policy = core.PolicyConfig{Policy: core.MaxSleep} },
+		"tech":          func(c *Cell) { c.Tech.P = 0.3 },
+		"alpha":         func(c *Cell) { c.Alpha = 0.75 },
+		"classes":       func(c *Cell) { c.Classes = []fu.Class{fu.IntALU, fu.FPALU} },
+		"assignment":    func(c *Cell) { c.Assignment = core.Assignment{fu.FPALU: {Policy: core.MaxSleep}} },
+		"class techs":   func(c *Cell) { c.ClassTechs = map[fu.Class]core.Tech{fu.FPALU: core.DefaultTech()} },
+		"same machine":  func(c *Cell) {},
+		"copied slices": func(c *Cell) { c.Benchmarks = append([]string(nil), c.Benchmarks...) },
+	}
+	for name, change := range variants {
+		o := base
+		change(&o)
+		if got, want := base.sameMachine(o), base.SimKey() == o.SimKey(); got != want {
+			t.Errorf("%s: sameMachine = %v, SimKeys equal = %v", name, got, want)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -225,6 +226,15 @@ func (c Cell) SimKey() string {
 	b = strconv.AppendUint(append(b, '|'), c.Window, 10)
 	b = appendKeyBenchmarks(b, c.Benchmarks)
 	return hexKey(fnv64a(b))
+}
+
+// sameMachine reports whether c and o agree on every field SimKey hashes,
+// so that they have the same SimKey.
+func (c Cell) sameMachine(o Cell) bool {
+	return c.FUs == o.FUs && c.AGUs == o.AGUs && c.Mults == o.Mults &&
+		c.FPALUs == o.FPALUs && c.FPMults == o.FPMults &&
+		c.L2Latency == o.L2Latency && c.Window == o.Window &&
+		slices.Equal(c.Benchmarks, o.Benchmarks)
 }
 
 // sortedClassKeys returns the map's classes in canonical order.
@@ -455,11 +465,16 @@ func EvalCells(ctx context.Context, r *Runner, cells []Cell) ([]CellResult, erro
 			return nil, err
 		}
 	}
-	// Group by simulation identity, preserving first-appearance order.
+	// Group by simulation identity, preserving first-appearance order. A
+	// cell with the same machine as the one before it shares its SimKey
+	// without hashing it again: a leased group is one machine throughout.
 	groups := make(map[string][]int)
 	var order []string
+	k := ""
 	for i := range cells {
-		k := cells[i].SimKey()
+		if i == 0 || !cells[i].sameMachine(cells[i-1]) {
+			k = cells[i].SimKey()
+		}
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}

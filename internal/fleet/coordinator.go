@@ -28,6 +28,9 @@ var ErrUnknownWorker = errors.New("unknown worker (expired or never registered)"
 type Task struct {
 	Ctx  context.Context
 	Cell fusleep.Cell
+	// Key is Cell.Key(), computed once by the caller; empty means Dispatch
+	// computes it.
+	Key  string
 	Done func(worker string, res fusleep.CellResult, err error)
 	// TraceID names the job trace the cell belongs to; it rides the wire
 	// to workers and keys the coordinator's lifecycle events. Optional.
@@ -84,7 +87,8 @@ type member struct {
 	groups   map[string]*group      // queue's groups by SimKey
 	queued   int                    // cells across queue
 	leased   map[uint64]*assignment // fetched, not yet reported
-	wake     chan struct{}          // closed and replaced when queue gains work
+	wake     chan struct{}          // closed and replaced when queue gains work while polled
+	polled   bool                   // a fetch is waiting on wake
 	done     uint64
 	failed   uint64
 	// Latest heartbeat-reported worker telemetry (nil until one arrives).
@@ -103,24 +107,78 @@ type assignment struct {
 	lease  uint64 // nonzero while fetched
 	trace  string // job trace id from the first task, "" when tracing is off
 
-	// While leased to an in-process worker: the lease context
-	// (LeaseCell.ctx), its cancel, and the per-task watches that cancel it
-	// once every task is canceled.
-	ctx   context.Context
-	abort context.CancelFunc
-	stops []func() bool
+	// held is the in-process group lease a is part of while leased to an
+	// in-process worker; nil otherwise.
+	held *localLease
 }
 
-// release ends a's lease context and its task watches when the lease
-// settles or is requeued. Callers hold c.mu.
+// localLease is one SimKey group leased to an in-process worker: the
+// context every cell of the group evaluates under (LeaseCell.ctx), its
+// cancel, and the watches that cancel it once every task waiting on an
+// unsettled cell of the group is canceled. One watch serves every task
+// that shares a cancellation channel, which for one job's cells is all of
+// them.
+type localLease struct {
+	ctx     context.Context
+	abort   context.CancelFunc
+	cells   []*assignment     // the group as leased; settled cells no longer hold l
+	open    int               // cells still holding l
+	watched []<-chan struct{} // Done channels already watched
+	stops   []func() bool
+}
+
+// canceled reports whether every task waiting on an unsettled cell of l
+// is canceled. Callers hold c.mu.
+func (l *localLease) canceled() bool {
+	for _, a := range l.cells {
+		if a.held == l && !a.canceled() {
+			return false
+		}
+	}
+	return true
+}
+
+// watchLocked aborts l once ctx and every other task waiting on l's
+// unsettled cells are canceled. A context that can never be canceled
+// needs no watch. Callers hold c.mu.
+func (c *Coordinator) watchLocked(l *localLease, ctx context.Context) {
+	done := ctx.Done()
+	if done == nil || slices.Contains(l.watched, done) {
+		return
+	}
+	l.watched = append(l.watched, done)
+	l.stops = append(l.stops, context.AfterFunc(ctx, func() {
+		c.mu.Lock()
+		if l.open > 0 && l.canceled() {
+			l.abort()
+		}
+		c.mu.Unlock()
+	}))
+}
+
+// release takes a out of its in-process group lease when it settles or is
+// requeued; the last cell out ends the lease context and its watches.
+// Callers hold c.mu.
 func (a *assignment) release() {
-	for _, stop := range a.stops {
+	l := a.held
+	if l == nil {
+		return
+	}
+	a.held = nil
+	if l.open--; l.open > 0 {
+		return
+	}
+	for _, stop := range l.stops {
 		stop()
 	}
-	if a.abort != nil {
-		a.abort()
-	}
-	a.ctx, a.abort, a.stops = nil, nil, nil
+	l.abort()
+	l.cells, l.watched, l.stops = nil, nil, nil
+}
+
+// aborted reports whether a's in-process lease was canceled because
+// nobody waits for its group any more.
+func (a *assignment) aborted() bool {
+	return a.held != nil && a.held.ctx.Err() != nil
 }
 
 // group is the queued assignments on one member that share a SimKey, in
@@ -152,18 +210,6 @@ func (m *member) pop() *group {
 	delete(m.groups, g.simKey)
 	m.queued -= len(g.cells)
 	return g
-}
-
-// watchLocked aborts leased a once t and every other task waiting on it
-// are canceled. Callers hold c.mu.
-func (c *Coordinator) watchLocked(a *assignment, t Task) {
-	a.stops = append(a.stops, context.AfterFunc(t.Ctx, func() {
-		c.mu.Lock()
-		if a.ctx != nil && a.canceled() {
-			a.abort()
-		}
-		c.mu.Unlock()
-	}))
 }
 
 // dropLocked removes a from the duplicate-join index unless a newer
@@ -209,7 +255,7 @@ type Coordinator struct {
 	cfg Config
 
 	mu       sync.Mutex
-	onResult func(key string, res fusleep.CellResult)
+	onResult func(results []Settled)
 	workers  map[string]*member
 	live     []string // sorted ids of live workers
 	seq      uint64   // worker id allocator
@@ -231,11 +277,20 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 }
 
-// SetOnResult arms the hook invoked once per successfully reported
-// assignment, before its result fans out to the waiting tasks; the server
-// uses it to journal results into the content-addressed store. Set it
-// before dispatching.
-func (c *Coordinator) SetOnResult(fn func(key string, res fusleep.CellResult)) {
+// Settled is one successfully reported cell as the result hook sees it:
+// the cell key, the job trace it was leased under, and its result.
+type Settled struct {
+	Key     string
+	TraceID string
+	Result  fusleep.CellResult
+}
+
+// SetOnResult arms the hook invoked once per report that settles at least
+// one cell successfully, with those cells in report order, before any
+// result of the report fans out to its waiting tasks; the server uses it
+// to journal a reported group into the content-addressed store in one
+// append. Set it before dispatching.
+func (c *Coordinator) SetOnResult(fn func(results []Settled)) {
 	c.mu.Lock()
 	c.onResult = fn
 	c.mu.Unlock()
@@ -278,10 +333,14 @@ func (c *Coordinator) now() time.Time {
 // TTL returns the worker heartbeat lease.
 func (c *Coordinator) TTL() time.Duration { return c.cfg.WorkerTTL }
 
-// wakeLocked signals a worker's long-polling fetcher. Callers hold c.mu.
+// wakeLocked signals a worker's long-polling fetcher, if one waits.
+// Callers hold c.mu.
 func (c *Coordinator) wakeLocked(m *member) {
+	if !m.polled {
+		return
+	}
 	close(m.wake)
-	m.wake = make(chan struct{})
+	m.wake, m.polled = make(chan struct{}), false
 }
 
 // spaceLocked signals blocked dispatchers that capacity may have freed.
@@ -421,6 +480,7 @@ func (c *Coordinator) removeLocked(m *member, reason string) {
 	m.queue, m.groups, m.queued = nil, make(map[string]*group), 0
 	m.leased = make(map[uint64]*assignment)
 	woken := map[*member]bool{}
+	var requeued []telemetry.Entry
 	for _, a := range orphans {
 		a.lease = 0
 		a.release()
@@ -435,12 +495,13 @@ func (c *Coordinator) removeLocked(m *member, reason string) {
 		}
 		c.stats.Requeues++
 		if a.trace != "" {
-			c.cfg.Trace.Record(a.trace, telemetry.Event{
+			requeued = append(requeued, telemetry.Entry{Job: a.trace, Event: telemetry.Event{
 				Stage: telemetry.StageRequeued, Key: a.key,
 				Worker: m.id, Detail: reason,
-			})
+			}})
 		}
 	}
+	c.cfg.Trace.RecordBatch(requeued)
 	for t := range woken {
 		c.wakeLocked(t)
 	}
@@ -487,14 +548,18 @@ func (c *Coordinator) Expire() {
 // new task gets a fresh assignment. A remote lease is always joined: its
 // worker finishes the cell regardless.
 func (c *Coordinator) Dispatch(t Task) error {
-	key, simKey := t.Cell.Key(), t.Cell.SimKey()
+	key := t.Key
+	if key == "" {
+		key = t.Cell.Key()
+	}
+	simKey := t.Cell.SimKey()
 	for {
 		c.mu.Lock()
 		c.expireLocked(c.now())
-		if a, ok := c.byKey[key]; ok && (a.ctx == nil || a.ctx.Err() == nil) {
+		if a, ok := c.byKey[key]; ok && !a.aborted() {
 			a.tasks = append(a.tasks, t)
-			if a.ctx != nil {
-				c.watchLocked(a, t)
+			if a.held != nil {
+				c.watchLocked(a.held, t.Ctx)
 			}
 			c.stats.Joins++
 			c.mu.Unlock()
@@ -557,34 +622,43 @@ func (c *Coordinator) Fetch(ctx context.Context, id string, max int, wait time.D
 		m.deadline = now.Add(c.cfg.WorkerTTL)
 		canceled := c.pruneQueueLocked(m)
 		var out []LeaseCell
+		var leased []telemetry.Entry
 		for n := 0; n < max && len(m.queue) > 0; n++ {
 			g := m.pop()
 			out = slices.Grow(out, len(g.cells))
+			var lease *localLease
+			if m.local {
+				ctx, abort := context.WithCancel(context.Background()) //fusleepvet:ctx-ok the lease outlives the fetch; its tasks' contexts cancel it
+				lease = &localLease{ctx: ctx, abort: abort, cells: g.cells, open: len(g.cells)}
+			}
 			for _, a := range g.cells {
 				c.leaseSeq++
 				a.lease = c.leaseSeq
 				m.leased[a.lease] = a
-				if m.local {
-					a.ctx, a.abort = context.WithCancel(context.Background()) //fusleepvet:ctx-ok the lease outlives the fetch; its tasks' contexts cancel it
+				lc := LeaseCell{
+					Lease: a.lease, Key: a.key, Cell: a.cell,
+					TraceID: a.trace, ParentSpan: a.lease,
+				}
+				if lease != nil {
+					a.held, lc.ctx = lease, lease.ctx
 					for _, t := range a.tasks {
-						c.watchLocked(a, t)
+						c.watchLocked(lease, t.Ctx)
 					}
 				}
-				out = append(out, LeaseCell{
-					Lease: a.lease, Key: a.key, Cell: a.cell,
-					TraceID: a.trace, ParentSpan: a.lease, ctx: a.ctx,
-				})
+				out = append(out, lc)
 				if a.trace != "" {
-					c.cfg.Trace.Record(a.trace, telemetry.Event{
+					leased = append(leased, telemetry.Entry{Job: a.trace, Event: telemetry.Event{
 						Stage: telemetry.StageLeased, Key: a.key, Worker: id,
-					})
+					}})
 				}
 			}
 		}
+		c.cfg.Trace.RecordBatch(leased)
 		if len(out) > 0 || len(canceled) > 0 {
 			c.spaceLocked()
 		}
 		wake := m.wake
+		m.polled = true
 		c.mu.Unlock()
 		deliverCanceled(canceled)
 		if len(out) > 0 {
@@ -664,6 +738,8 @@ func (c *Coordinator) Report(id string, results []CellReport) (accepted int, err
 	}
 	m.deadline = c.now().Add(c.cfg.WorkerTTL)
 	fans := make([]fan, 0, len(results))
+	var events []telemetry.Entry
+	var settled []Settled
 	for _, r := range results {
 		a, ok := m.leased[r.Lease]
 		if !ok {
@@ -672,9 +748,9 @@ func (c *Coordinator) Report(id string, results []CellReport) (accepted int, err
 		}
 		delete(m.leased, r.Lease)
 		c.dropLocked(a)
-		// An aborted in-process cell failed because nobody waits for it any
-		// more; it settles as canceled, not as a fleet failure.
-		aborted := a.ctx != nil && a.ctx.Err() != nil
+		// An aborted in-process group failed because nobody waits for it
+		// any more; its cells settle as canceled, not as fleet failures.
+		aborted := a.aborted()
 		a.release()
 		accepted++
 		if a.trace != "" {
@@ -682,16 +758,16 @@ func (c *Coordinator) Report(id string, results []CellReport) (accepted int, err
 			// durations), then stamp the reported event, whose local delta
 			// measures the full leased-to-reported round trip.
 			for _, sp := range r.Trace {
-				c.cfg.Trace.Record(a.trace, telemetry.Event{
+				events = append(events, telemetry.Entry{Job: a.trace, Event: telemetry.Event{
 					Stage: telemetry.StageEvaluated, Key: a.key, Worker: id,
 					Attempt: sp.Attempt, Seconds: sp.Seconds, Err: sp.Error,
-				})
+				}})
 			}
-			ev := telemetry.Event{Stage: telemetry.StageReported, Key: a.key, Worker: id}
+			ev := telemetry.Entry{Job: a.trace, Event: telemetry.Event{Stage: telemetry.StageReported, Key: a.key, Worker: id}}
 			if r.Error != nil {
 				ev.Err = r.Error.Message
 			}
-			c.cfg.Trace.Record(a.trace, ev)
+			events = append(events, ev)
 		}
 		if r.Error != nil {
 			if !aborted {
@@ -707,18 +783,24 @@ func (c *Coordinator) Report(id string, results []CellReport) (accepted int, err
 				res = *r.Result
 			}
 			fans = append(fans, fan{a: a, res: res})
+			if c.onResult != nil {
+				settled = append(settled, Settled{Key: a.key, TraceID: a.trace, Result: res})
+			}
 		}
 	}
+	c.cfg.Trace.RecordBatch(events)
 	name := m.name
 	if name == "" {
 		name = m.id
 	}
 	onResult := c.onResult
 	c.mu.Unlock()
+	// The whole report is journaled before any of its cells is
+	// acknowledged to a waiting task.
+	if len(settled) > 0 {
+		onResult(settled)
+	}
 	for _, f := range fans {
-		if f.err == nil && onResult != nil {
-			onResult(f.a.key, f.res)
-		}
 		for _, t := range f.a.tasks {
 			// A task canceled while its cell was in flight settles with its
 			// own context error, exactly like the embedded queue.

@@ -151,7 +151,11 @@ func TestCoordinatorRoundtrip(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(Config{Now: clk.now})
 	var journaled []string
-	c.SetOnResult(func(key string, res fusleep.CellResult) { journaled = append(journaled, key) })
+	c.SetOnResult(func(results []Settled) {
+		for _, r := range results {
+			journaled = append(journaled, r.Key)
+		}
+	})
 
 	id, ttl := c.Register("alpha")
 	if id == "" || ttl != 10*time.Second {

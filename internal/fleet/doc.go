@@ -24,10 +24,16 @@
 // Each worker's queue is an ordered list of SimKey groups: a dispatch joins
 // the queued group for its SimKey or opens one at the tail. Fetch leases
 // whole groups — its max counts groups, so max 1 still returns every queued
-// cell of the head group — and a worker evaluates a group's cells in lease
-// order (the first pays for the simulation, the rest hit the engine's
-// cache) and reports the group in one call. The queue bound (QueueDepth)
-// still counts cells.
+// cell of the head group. The group stays the unit of work until it is
+// settled: a worker evaluates it with one Engine.RunCells call
+// (Executor.EvalGroup; one simulation, every cell scored closed-form off
+// it) and reports it in one call, and the coordinator hands the report's
+// successful results to its result hook at once, which journals them in
+// one store append before any of them fans out to a waiting task. Fault
+// points, retries, deadlines and panic containment stay per cell: a cell
+// that a fault point touches runs its attempt alone, and a group call
+// that fails re-runs its cells one at a time through the per-cell path.
+// The queue bound (QueueDepth) still counts cells.
 //
 // # Flow control and fault tolerance
 //
@@ -35,7 +41,7 @@
 // target queue full blocks the feeder, which propagates through the
 // server's admission control to 429 + Retry-After at submit. Workers pull
 // work (register → heartbeat → fetch → report), so the coordinator never
-// dials them. Fetched cells are leased one lease per cell: if a worker
+// dials them. Fetched cells are leased one lease token per cell: if a worker
 // misses enough heartbeats its leases and queue are requeued over the
 // survivors, a leased group re-forming whole on its new owner, and
 // because completed cells are journaled in the result store as they are
@@ -47,6 +53,7 @@
 // In-process and remote workers run the same loop and the same Executor
 // (fault injection, panic containment, per-cell deadline, bounded
 // deterministically jittered retry), so a fleet computes byte-identical
-// results to a standalone run. Only an in-process lease is aborted once
-// every task waiting on its cell is canceled.
+// results to a standalone run. Only an in-process lease is aborted, and
+// it is aborted per group: an in-process group shares one lease context,
+// canceled once every task waiting on any unsettled cell of the group is.
 package fleet

@@ -100,7 +100,9 @@ type Executor struct {
 	OnRetry func(key string, attempt int, delay time.Duration)
 	// OnAttempt, when set, observes every finished evaluation attempt:
 	// the cell key, attempt number, measured duration, and outcome. Fleet
-	// workers collect the spans it sees into their reports.
+	// workers collect the spans it sees into their reports. An attempt
+	// run inside an EvalGroup group call is timed as an even share of
+	// that call.
 	OnAttempt func(key string, attempt int, seconds float64, err error)
 }
 
@@ -117,32 +119,152 @@ func (e *Executor) sleep(ctx context.Context, d time.Duration) error {
 // return immediately; transient failures retry up to Retry.MaxRetries
 // times.
 func (e *Executor) EvalCell(ctx context.Context, c fusleep.Cell) (fusleep.CellResult, error) {
-	attempts := e.Retry.MaxRetries + 1
-	var res fusleep.CellResult
-	var err error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		start := time.Now() //fusleepvet:nondet-ok attempt latency observation; never feeds results
-		res, err = e.runOnce(ctx, c, attempt)
-		if e.OnAttempt != nil {
-			e.OnAttempt(c.Key(), attempt, time.Since(start).Seconds(), err)
-		}
-		if err == nil || ctx.Err() != nil ||
-			!fusleep.IsTransientCellError(err) || attempt == attempts {
-			return res, err
-		}
-		delay := e.Retry.Delay(c.Key(), attempt)
-		if e.OnRetry != nil {
-			e.OnRetry(c.Key(), attempt, delay)
-		}
-		if serr := e.sleep(ctx, delay); serr != nil {
-			return fusleep.CellResult{}, serr
-		}
-	}
-	return res, err
+	return e.attempts(ctx, c, c.Key(), 1, faultsThenEngine)
 }
 
+// EvalGroup evaluates cells that share one SimKey, in lease order, with
+// one Engine.RunCells call: the first cell's simulation serves the rest,
+// which score closed-form. keys[i] is cells[i].Key(). The outcome of every
+// cell is the one EvalCell would give it, with the same attempt numbers,
+// attempt spans and fault-point hits:
+//
+//   - Each cell's first attempt consults the fault points in lease order,
+//     as EvalCell would. A cell one of them touches (a stall, a panic, a
+//     transient failure) finishes that attempt, and any retries, on its
+//     own; the others leave their engine run to the group call.
+//   - The group call runs under one per-cell deadline. If it fails (an
+//     error, a panic, or the deadline), each of its cells is re-run on its
+//     own from attempt 1, whose fault points were already consulted, so
+//     the panic, timeout or error lands on the cell that caused it as its
+//     own typed CellError.
+//   - After a successful group call, each of its cells reports attempt 1
+//     with an even share of the call's duration as its span.
+func (e *Executor) EvalGroup(ctx context.Context, cells []fusleep.Cell, keys []string) ([]fusleep.CellResult, []error) {
+	res := make([]fusleep.CellResult, len(cells))
+	errs := make([]error, len(cells))
+	batch := make([]int, 0, len(cells))
+	for i := range cells {
+		// Without an injector no fault point can touch a cell, and the
+		// group call runs them all.
+		if e.Fault != nil {
+			start := time.Now() //fusleepvet:nondet-ok attempt latency observation; never feeds results
+			r, err := e.runOnce(ctx, cells[i], keys[i], 1, faultsThenGroup)
+			if !errors.Is(err, errGroupRun) {
+				res[i], errs[i] = e.settle(ctx, cells[i], keys[i], 1, start, r, err)
+				continue
+			}
+		}
+		batch = append(batch, i)
+	}
+	if len(batch) == 0 {
+		return res, errs
+	}
+	group := cells
+	if len(batch) < len(cells) {
+		group = make([]fusleep.Cell, len(batch))
+		for j, i := range batch {
+			group[j] = cells[i]
+		}
+	}
+	start := time.Now() //fusleepvet:nondet-ok attempt latency observation; never feeds results
+	out, err := e.runGroup(ctx, group)
+	if err != nil {
+		for _, i := range batch {
+			res[i], errs[i] = e.attempts(ctx, cells[i], keys[i], 1, engineOnly)
+		}
+		return res, errs
+	}
+	share := time.Since(start).Seconds() / float64(len(batch))
+	for j, i := range batch {
+		res[i] = out[j]
+		if e.OnAttempt != nil {
+			e.OnAttempt(keys[i], 1, share, nil)
+		}
+	}
+	return res, errs
+}
+
+// runGroup is the group call of EvalGroup: one contained RunCells under
+// one per-cell deadline. Results that arrive after that deadline count as
+// a failure, because a cell run on its own might have timed out.
+func (e *Executor) runGroup(ctx context.Context, cells []fusleep.Cell) (out []fusleep.CellResult, err error) {
+	runCtx := ctx
+	if e.CellTimeout > 0 {
+		var cancel context.CancelFunc
+		runCtx, cancel = context.WithTimeout(ctx, e.CellTimeout)
+		defer cancel()
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("recovered panic: %v", r)
+		}
+	}()
+	out, err = e.Engine.RunCells(runCtx, cells)
+	if err == nil && ctx.Err() == nil {
+		err = runCtx.Err()
+	}
+	return out, err
+}
+
+// attempts runs c's attempts from attempt from on, the first of them in
+// mode first and every later one in full, until one succeeds, fails
+// permanently, or the retries run out.
+func (e *Executor) attempts(ctx context.Context, c fusleep.Cell, key string, from int, first attemptMode) (fusleep.CellResult, error) {
+	start := time.Now() //fusleepvet:nondet-ok attempt latency observation; never feeds results
+	res, err := e.runOnce(ctx, c, key, from, first)
+	return e.settle(ctx, c, key, from, start, res, err)
+}
+
+// settle reports a finished attempt and, when it failed transiently with
+// retries left, backs off and runs the remaining attempts in full.
+func (e *Executor) settle(ctx context.Context, c fusleep.Cell, key string, attempt int, start time.Time, res fusleep.CellResult, err error) (fusleep.CellResult, error) {
+	e.observe(key, attempt, start, err)
+	if err == nil || ctx.Err() != nil || !fusleep.IsTransientCellError(err) || attempt >= e.Retry.MaxRetries+1 {
+		return res, err
+	}
+	if serr := e.backoff(ctx, key, attempt); serr != nil {
+		return fusleep.CellResult{}, serr
+	}
+	return e.attempts(ctx, c, key, attempt+1, faultsThenEngine)
+}
+
+// observe reports one finished attempt to OnAttempt.
+func (e *Executor) observe(key string, attempt int, start time.Time, err error) {
+	if e.OnAttempt != nil {
+		e.OnAttempt(key, attempt, time.Since(start).Seconds(), err)
+	}
+}
+
+// backoff sleeps the jittered delay before the attempt after attempt.
+func (e *Executor) backoff(ctx context.Context, key string, attempt int) error {
+	delay := e.Retry.Delay(key, attempt)
+	if e.OnRetry != nil {
+		e.OnRetry(key, attempt, delay)
+	}
+	return e.sleep(ctx, delay)
+}
+
+// attemptMode selects which parts of an attempt runOnce runs.
+type attemptMode uint8
+
+const (
+	// faultsThenEngine is a whole attempt: the fault points, then the
+	// engine.
+	faultsThenEngine attemptMode = iota
+	// faultsThenGroup consults the fault points and, when none touched the
+	// cell, returns errGroupRun to leave its engine run to the group call.
+	faultsThenGroup
+	// engineOnly runs the engine alone: the group fallback's first
+	// attempt, whose fault points the group already consulted.
+	engineOnly
+)
+
+// errGroupRun is runOnce's answer in faultsThenGroup mode for a cell no
+// fault point touched.
+var errGroupRun = errors.New("fleet: engine run left to the group call")
+
 // runOnce is a single contained evaluation attempt.
-func (e *Executor) runOnce(ctx context.Context, c fusleep.Cell, attempt int) (res fusleep.CellResult, err error) {
+func (e *Executor) runOnce(ctx context.Context, c fusleep.Cell, key string, attempt int, mode attemptMode) (res fusleep.CellResult, err error) {
 	runCtx := ctx
 	if e.CellTimeout > 0 {
 		var cancel context.CancelFunc
@@ -155,30 +277,36 @@ func (e *Executor) runOnce(ctx context.Context, c fusleep.Cell, attempt int) (re
 		if r := recover(); r != nil {
 			res = fusleep.CellResult{}
 			err = &fusleep.CellError{
-				Key: c.Key(), Attempt: attempt, Panicked: true,
+				Key: key, Attempt: attempt, Panicked: true,
 				Err: fmt.Errorf("recovered panic: %v", r),
 			}
 		}
 	}()
-	if d := e.Fault.DelayFor(fault.CellSlow); d > 0 {
-		if serr := e.sleep(runCtx, d); serr != nil {
-			return fusleep.CellResult{}, e.classify(ctx, runCtx, c, attempt, serr)
+	if mode != engineOnly {
+		d := e.Fault.DelayFor(fault.CellSlow)
+		if d > 0 {
+			if serr := e.sleep(runCtx, d); serr != nil {
+				return fusleep.CellResult{}, e.classify(ctx, runCtx, key, attempt, serr)
+			}
 		}
-	}
-	if e.Fault.Fire(fault.CellPanic) {
-		panic("injected: " + fault.CellPanic)
-	}
-	// The transient fault is keyed per cell, so how often one cell fails
-	// does not depend on which other cells the workers evaluate meanwhile.
-	// Production runs have no injector, and skip building the key.
-	if e.Fault != nil && e.Fault.FireKey(fault.CellTransient, c.Key()) {
-		return fusleep.CellResult{}, &fusleep.CellError{
-			Key: c.Key(), Attempt: attempt, Transient: true, Err: fault.ErrTransient,
+		if e.Fault.Fire(fault.CellPanic) {
+			panic("injected: " + fault.CellPanic)
+		}
+		// The transient fault is keyed per cell, so how often one cell
+		// fails does not depend on which other cells the workers evaluate
+		// meanwhile. Production runs have no injector.
+		if e.Fault != nil && e.Fault.FireKey(fault.CellTransient, key) {
+			return fusleep.CellResult{}, &fusleep.CellError{
+				Key: key, Attempt: attempt, Transient: true, Err: fault.ErrTransient,
+			}
+		}
+		if mode == faultsThenGroup && d == 0 {
+			return fusleep.CellResult{}, errGroupRun
 		}
 	}
 	res, err = e.Engine.RunCell(runCtx, c)
 	if err != nil {
-		return fusleep.CellResult{}, e.classify(ctx, runCtx, c, attempt, err)
+		return fusleep.CellResult{}, e.classify(ctx, runCtx, key, attempt, err)
 	}
 	return res, nil
 }
@@ -186,9 +314,9 @@ func (e *Executor) runOnce(ctx context.Context, c fusleep.Cell, attempt int) (re
 // classify wraps an attempt's error: when the per-cell deadline expired
 // while the job's own context was still live, the cell — not the job —
 // timed out, and that is a typed, permanent CellError.
-func (e *Executor) classify(jobCtx, runCtx context.Context, c fusleep.Cell, attempt int, err error) error {
+func (e *Executor) classify(jobCtx, runCtx context.Context, key string, attempt int, err error) error {
 	if jobCtx.Err() == nil && errors.Is(runCtx.Err(), context.DeadlineExceeded) {
-		return &fusleep.CellError{Key: c.Key(), Attempt: attempt, Timeout: true, Err: err}
+		return &fusleep.CellError{Key: key, Attempt: attempt, Timeout: true, Err: err}
 	}
 	return err
 }

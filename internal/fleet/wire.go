@@ -140,8 +140,9 @@ type LeaseCell struct {
 	// lease; fusleepd sets it to the lease token.
 	ParentSpan uint64 `json:"parentSpan,omitempty"`
 
-	// ctx is an in-process lease's context, canceled once every waiting
-	// task is; JSON does not carry it, so remote leases leave it nil.
+	// ctx is an in-process group lease's context, canceled once every task
+	// waiting on the group is; JSON does not carry it, so remote leases
+	// leave it nil.
 	ctx context.Context
 }
 

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/archsim/fusleep"
 )
 
 // Worker is the executing side of the fleet (register → heartbeat → fetch
@@ -31,9 +33,8 @@ type Worker struct {
 	// Client is the HTTP client; nil means http.DefaultClient.
 	Client *http.Client
 	// Parallel bounds how many leased SimKey groups evaluate at once
-	// (default 1). A group's cells evaluate one after another in lease
-	// order, so the first pays for the simulation and the rest score
-	// closed-form off the engine's cache.
+	// (default 1). Each group evaluates with one engine call: its
+	// simulation runs once and every cell scores closed-form off it.
 	Parallel int
 	// FetchBatch is how many SimKey groups one fetch may lease, each with
 	// all of its queued cells (default Parallel).
@@ -165,13 +166,16 @@ func (w *Worker) stats() *WorkerStats {
 	}
 }
 
-// takeSpans drains the collected spans for one cell key.
-func (w *Worker) takeSpans(key string) []WireSpan {
+// takeSpans drains the collected spans for a group's cell keys.
+func (w *Worker) takeSpans(keys []string) [][]WireSpan {
+	out := make([][]WireSpan, len(keys))
 	w.spanMu.Lock()
 	defer w.spanMu.Unlock()
-	sp := w.spans[key]
-	delete(w.spans, key)
-	return sp
+	for i, k := range keys {
+		out[i] = w.spans[k]
+		delete(w.spans, k)
+	}
+	return out
 }
 
 // Run registers with the coordinator and serves fetched cells until ctx
@@ -382,25 +386,30 @@ func (w *Worker) runGroups(ctx context.Context, id string, groups [][]LeaseCell,
 	return !stop.Load()
 }
 
-// evaluate runs one group's cells through the Executor in lease order.
-// A loopback lease carries its own context, canceled once every task
-// waiting on the cell is, so an abandoned in-process evaluation stops
-// promptly; a remote worker's cells run under its own context.
-func (w *Worker) evaluate(ctx context.Context, cells []LeaseCell) []CellReport {
-	reports := make([]CellReport, len(cells))
-	for i, lc := range cells {
-		cellCtx := ctx
-		if lc.ctx != nil {
-			cellCtx = lc.ctx
-		}
-		w.inflight.Add(1)
-		res, err := w.Exec.EvalCell(cellCtx, lc.Cell)
-		w.inflight.Add(-1)
-		r := CellReport{Lease: lc.Lease, Key: lc.Key, Trace: w.takeSpans(lc.Key)}
-		if err != nil {
-			r.Error = ToWireError(err)
+// evaluate runs one leased group through the Executor's group path. An
+// in-process group lease carries its own context, canceled once every
+// task waiting on the group is, so an abandoned in-process evaluation
+// stops promptly; a remote worker's groups run under its own context.
+func (w *Worker) evaluate(ctx context.Context, group []LeaseCell) []CellReport {
+	if group[0].ctx != nil {
+		ctx = group[0].ctx
+	}
+	cells := make([]fusleep.Cell, len(group))
+	keys := make([]string, len(group))
+	for i := range group {
+		cells[i], keys[i] = group[i].Cell, group[i].Key
+	}
+	w.inflight.Add(int64(len(group)))
+	results, errs := w.Exec.EvalGroup(ctx, cells, keys)
+	w.inflight.Add(-int64(len(group)))
+	reports := make([]CellReport, len(group))
+	spans := w.takeSpans(keys)
+	for i, lc := range group {
+		r := CellReport{Lease: lc.Lease, Key: lc.Key, Trace: spans[i]}
+		if errs[i] != nil {
+			r.Error = ToWireError(errs[i])
 		} else {
-			r.Result = &res
+			r.Result = &results[i]
 		}
 		reports[i] = r
 	}

@@ -34,7 +34,10 @@
 // store.Open directory), the daemon is crash-safe: accepted jobs are
 // fsynced to a write-ahead log before they are acknowledged, completed
 // cells are journaled under their content-addressed configuration hash by
-// the coordinator's result hook, and Recover replays any job the previous
+// the coordinator's result hook — one store append per worker report,
+// normally one SimKey group, landing before any of its cells reaches a
+// stream, with -sync-every counted per record as before — and Recover
+// replays any job the previous
 // process never finished — serving its already-journaled cells from disk
 // and recomputing only what the crash actually lost. Worker failures are
 // contained per cell: panics become typed CellErrors, an optional

@@ -81,6 +81,13 @@ func fleetWorkers(t *testing.T, base string) []fleet.WorkerInfo {
 	return out
 }
 
+// killTTL is the worker TTL of the tests that kill a worker holding
+// leases. Each of them waits out the dead worker's TTL before its cells
+// requeue, which is most of its run time. A live worker still renews
+// several times per TTL: a heartbeat every TTL/3, and each fetch (a
+// 50 ms long poll) and report.
+const killTTL = 250 * time.Millisecond
+
 // waitFor polls cond until it holds or the deadline lapses.
 func waitFor(t *testing.T, what string, d time.Duration, cond func() bool) {
 	t.Helper()
@@ -115,7 +122,7 @@ func TestFleetKillWorkerMidSweepByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	coord := fleet.NewCoordinator(fleet.Config{WorkerTTL: 500 * time.Millisecond})
+	coord := fleet.NewCoordinator(fleet.Config{WorkerTTL: killTTL})
 	s, ts := newTestServer(t, Config{
 		Engine:  fusleep.NewEngine(fusleep.WithWindow(testWindow)),
 		Fleet:   coord,
@@ -383,7 +390,7 @@ func TestFleetKillWorkerMidGroupExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	coord := fleet.NewCoordinator(fleet.Config{WorkerTTL: 500 * time.Millisecond})
+	coord := fleet.NewCoordinator(fleet.Config{WorkerTTL: killTTL})
 	_, ts := newTestServer(t, Config{
 		Engine:  fusleep.NewEngine(fusleep.WithWindow(testWindow)),
 		Fleet:   coord,

@@ -293,7 +293,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job.rec = s.trace
 	// Start the trace before submit: the feeder races the rest of this
 	// handler, and its dispatch events must find the trace already live.
-	s.trace.Start(job.id)
+	s.trace.Start(job.id, len(cells))
 	s.trace.Record(job.id, telemetry.Event{
 		Stage: telemetry.StageSubmitted, Detail: fmt.Sprintf("%d cells", len(cells)),
 	})

@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -240,8 +241,9 @@ func New(cfg Config) *Server {
 	s.registerMetrics()
 	// Every recorded trace stage feeds the per-stage histogram; the three
 	// stages with a natural latency reading also feed their dedicated ones.
+	stages := stageHistograms{vec: s.stageSeconds}
 	s.trace.SetStageObserver(func(stage string, seconds float64) {
-		s.stageSeconds.With(stage).Observe(seconds)
+		stages.of(stage).Observe(seconds)
 		switch stage {
 		case telemetry.StageLeased:
 			s.queueWait.Observe(seconds)
@@ -285,20 +287,52 @@ func New(cfg Config) *Server {
 // Coordinator returns Config.Fleet, or a standalone server's private one.
 func (s *Server) Coordinator() *fleet.Coordinator { return s.fleet }
 
-// fleetResult journals a freshly computed cell: the daemon's only put. The
+// fleetResult journals the freshly computed cells of one worker report —
+// normally one SimKey group — in one append: the daemon's only put. The
 // coordinator runs it before any waiting task's done, so the journal
-// append lands before the stream line, and a requeued replay of reported
+// append lands before the stream lines, and a requeued replay of reported
 // work is served from the store at dispatch instead of recomputed.
-func (s *Server) fleetResult(key string, res fusleep.CellResult) {
+func (s *Server) fleetResult(results []fleet.Settled) {
 	if s.cfg.Results == nil {
 		return
+	}
+	puts := make([]store.Put, len(results))
+	for i, r := range results {
+		puts[i] = store.Put{Key: r.Key, Result: r.Result}
 	}
 	// Put failures surface as fusleepd_store_put_errors_total, and the
 	// trace shows no stored stage; the job still completes (it just loses
 	// the replay-for-free guarantee).
-	if s.cfg.Results.PutCell(key, res) == nil {
-		s.trace.RecordKey(key, telemetry.Event{Stage: telemetry.StageStored})
+	s.cfg.Results.PutCells(puts)
+	stored := make([]telemetry.Entry, 0, len(results))
+	for i, r := range results {
+		if puts[i].Err == nil && r.TraceID != "" {
+			stored = append(stored, telemetry.Entry{Job: r.TraceID, Event: telemetry.Event{Stage: telemetry.StageStored, Key: r.Key}})
+		}
 	}
+	s.trace.RecordBatch(stored)
+}
+
+// stageHistograms resolves each trace stage's child of
+// fusleepd_trace_stage_seconds once, on the stage's first observation, so
+// the per-event observer skips HistogramVec.With's label join and lookup.
+type stageHistograms struct {
+	vec   *telemetry.HistogramVec
+	hists [len(telemetry.Stages)]atomic.Pointer[telemetry.Histogram]
+}
+
+// of returns stage's histogram.
+func (h *stageHistograms) of(stage string) *telemetry.Histogram {
+	i := slices.Index(telemetry.Stages[:], stage)
+	if i < 0 {
+		return h.vec.With(stage)
+	}
+	hist := h.hists[i].Load()
+	if hist == nil {
+		hist = h.vec.With(stage)
+		h.hists[i].Store(hist)
+	}
+	return hist
 }
 
 // expiryLoop ticks fleet lease expiry so a crashed worker's cells requeue
@@ -412,10 +446,10 @@ func (s *Server) dispatch(t task) bool {
 			return true
 		}
 	}
-	// Record dispatch first: this binds the cell key to the job's trace, so
-	// key-addressed events (stored results) land on the right timeline.
+	// Record dispatch first: it starts the cell's timeline in the job's
+	// trace, so each later stage's delta measures from here.
 	s.trace.Record(t.trace, telemetry.Event{Stage: telemetry.StageDispatched, Key: t.key})
-	return s.fleet.Dispatch(fleet.Task{Ctx: t.ctx, Cell: t.cell, Done: t.done, TraceID: t.trace}) == nil
+	return s.fleet.Dispatch(fleet.Task{Ctx: t.ctx, Cell: t.cell, Key: t.key, Done: t.done, TraceID: t.trace}) == nil
 }
 
 // feed dispatches a sweep job's cells, stopping early if the job is
@@ -785,7 +819,7 @@ func (s *Server) replay(rec store.JobRecord) error {
 	}
 	// Start the trace before submit: the feeder races this function, and
 	// its dispatch events must find the trace already live.
-	s.trace.Start(rec.ID)
+	s.trace.Start(rec.ID, cells)
 	s.trace.Record(rec.ID, telemetry.Event{Stage: telemetry.StageReplayed, Detail: rec.Kind})
 	s.log.Info("replaying journaled job", "job", rec.ID, "kind", rec.Kind, "cells", cells)
 	s.pendingCells.Add(int64(cells))

@@ -50,7 +50,8 @@ type sweepJob struct {
 	canceled bool // an explicit cancel request arrived
 	err      error
 	state    string
-	updated  chan struct{} // closed and replaced on every state change
+	updated  chan struct{} // closed and replaced on a state change while watched
+	watched  bool          // a watcher holds updated
 }
 
 func newSweepJob(parent context.Context, id string, cells []fusleep.Cell) *sweepJob {
@@ -68,8 +69,11 @@ func newSweepJob(parent context.Context, id string, cells []fusleep.Cell) *sweep
 
 // broadcast wakes every watcher. Callers must hold j.mu.
 func (j *sweepJob) broadcast() {
+	if !j.watched {
+		return
+	}
 	close(j.updated)
-	j.updated = make(chan struct{})
+	j.updated, j.watched = make(chan struct{}), false
 }
 
 // maybeFinish moves the job to its terminal state once every cell is
@@ -255,6 +259,7 @@ func (j *sweepJob) watch(offset int) (fresh []cellLine, state string, updated <-
 		fresh = make([]cellLine, len(j.results)-offset)
 		copy(fresh, j.results[offset:])
 	}
+	j.watched = true
 	return fresh, j.state, j.updated
 }
 

@@ -253,7 +253,7 @@ func TestFleetTraceLeaseExpiryTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	coord := fleet.NewCoordinator(fleet.Config{WorkerTTL: 500 * time.Millisecond})
+	coord := fleet.NewCoordinator(fleet.Config{WorkerTTL: killTTL})
 	_, ts := newTestServer(t, Config{
 		Engine:  fusleep.NewEngine(fusleep.WithWindow(testWindow)),
 		Fleet:   coord,

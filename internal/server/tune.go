@@ -420,7 +420,7 @@ func (s *Server) handleTuneSubmit(w http.ResponseWriter, r *http.Request) {
 	job.rec = s.trace
 	// Start the trace before submit: the tuner's evaluator races the rest
 	// of this handler, and its dispatch events must find the trace live.
-	s.trace.Start(job.id)
+	s.trace.Start(job.id, budget)
 	s.trace.Record(job.id, telemetry.Event{
 		Stage: telemetry.StageSubmitted, Detail: fmt.Sprintf("budget %d", budget),
 	})

@@ -47,6 +47,10 @@ func FuzzJournalRecovery(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1}, uint16(40), uint16(0), byte(0))
 	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff}, uint16(7), uint16(4), byte(0xff))
 	f.Add(bytes.Repeat([]byte("frame"), 40), uint16(100), uint16(50), byte(0x10))
+	// Journals written a group at a time by PutCells: intact, and torn on
+	// its fourth append.
+	f.Add(batchJournal(f, 0), uint16(0xffff), uint16(0), byte(0))
+	f.Add(batchJournal(f, 3), uint16(900), uint16(17), byte(0x04))
 	f.Fuzz(func(t *testing.T, raw []byte, cut, pos uint16, mask byte) {
 		dir := t.TempDir()
 

@@ -140,15 +140,64 @@ func (s *ResultStore) GetCell(key string) (experiments.CellResult, bool, error) 
 // key costs one locked map lookup. The result's Index is not persisted (it
 // is a per-grid position, not part of the cell's identity).
 func (s *ResultStore) PutCell(key string, res experiments.CellResult) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.index[key]; ok {
+	if s.Has(key) {
 		return nil
 	}
-	res.Index = 0
-	data, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("store: encode result %s: %w", key, err)
+	put := [1]Put{{Key: key, Result: res}}
+	s.PutCells(put[:])
+	return put[0].Err
+}
+
+// Put is one cell result for PutCells to journal; PutCells sets Err to the
+// put's outcome.
+type Put struct {
+	Key    string
+	Result experiments.CellResult
+	Err    error
+
+	data []byte // the encoded result, Index 0
+}
+
+// PutCells journals a batch of completed cells in order, with exactly the
+// outcome and on-disk bytes of one PutCell per element: a key already
+// stored, or repeated earlier in the batch, writes nothing and succeeds,
+// and the journal fsyncs at the same record counts. The results are
+// encoded before the store lock is taken; the records are then appended
+// under one acquisition of it. If the journal wedges part-way, the
+// records appended before the failure stay journaled, and the failing
+// put and every later put of a key not yet stored carry an error and
+// count as a put error. It returns the first error, or nil.
+func (s *ResultStore) PutCells(puts []Put) error {
+	for i := range puts {
+		p := &puts[i]
+		res := p.Result
+		res.Index = 0
+		p.data, p.Err = json.Marshal(res)
+		if p.Err != nil {
+			p.Err = fmt.Errorf("store: encode result %s: %w", p.Key, p.Err)
+		}
+	}
+	var first error
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range puts {
+		p := &puts[i]
+		if p.Err == nil {
+			p.Err = s.appendLocked(p.Key, p.data)
+		}
+		p.data = nil
+		if first == nil {
+			first = p.Err
+		}
+	}
+	return first
+}
+
+// appendLocked journals one encoded result unless its key is already
+// stored. Callers hold s.mu.
+func (s *ResultStore) appendLocked(key string, data []byte) error {
+	if _, ok := s.index[key]; ok {
+		return nil
 	}
 	if err := s.j.Append(Record{Kind: kindResult, Key: key, Data: data}); err != nil {
 		s.putErrs++

@@ -24,6 +24,13 @@ const (
 	StageStreamed    = "streamed"     // a client stream delivered the job's end event
 )
 
+// Stages lists every stage constant, in the order above.
+var Stages = [...]string{
+	StageSubmitted, StageJournaled, StageReplayed, StageDispatched,
+	StageStoreServed, StageLeased, StageEvaluated, StageReported,
+	StageRequeued, StageStored, StageCompleted, StageFailed, StageStreamed,
+}
+
 // Event is one span of a job's trace: what happened, to which cell, where,
 // and how long since the previous event for that cell.
 type Event struct {
@@ -60,6 +67,12 @@ type jobTrace struct {
 	lastByKey map[string]time.Time
 }
 
+// Entry is one event bound for a job's trace, the unit RecordBatch takes.
+type Entry struct {
+	Job string
+	Event
+}
+
 // Recorder keeps the last N job traces in a bounded ring. All methods are
 // safe for concurrent use and no-ops on a nil receiver, so call sites need
 // no guards. Events recorded for unknown (never started or evicted) jobs
@@ -71,8 +84,7 @@ type Recorder struct {
 	now       func() time.Time
 	onStage   func(stage string, seconds float64)
 	jobs      map[string]*jobTrace
-	order     []string          // insertion order, oldest first
-	byKey     map[string]string // cell key -> owning job id
+	order     []string // insertion order, oldest first
 }
 
 // NewRecorder builds a recorder keeping up to maxJobs traces of up to
@@ -89,7 +101,6 @@ func NewRecorder(maxJobs, maxEvents int) *Recorder {
 		maxEvents: maxEvents,
 		now:       time.Now,
 		jobs:      make(map[string]*jobTrace),
-		byKey:     make(map[string]string),
 	}
 }
 
@@ -105,8 +116,9 @@ func (r *Recorder) SetClock(now func() time.Time) {
 
 // SetStageObserver arms a hook invoked once per recorded event with the
 // stage name and its duration; the server feeds per-stage histograms
-// through it. The hook runs under the recorder lock and must not call
-// back into the recorder.
+// through it. The hook runs after the recorder lock is released, so it
+// may be called concurrently and for one batch after another batch's
+// events; it must be safe for concurrent use.
 func (r *Recorder) SetStageObserver(fn func(stage string, seconds float64)) {
 	if r == nil {
 		return
@@ -117,8 +129,9 @@ func (r *Recorder) SetStageObserver(fn func(stage string, seconds float64)) {
 }
 
 // Start begins (or restarts) a job's trace, evicting the oldest trace
-// when the ring is full.
-func (r *Recorder) Start(jobID string) {
+// when the ring is full. keys sizes the per-cell timeline for the number
+// of cells the job is expected to touch (0 when unknown).
+func (r *Recorder) Start(jobID string, keys int) {
 	if r == nil {
 		return
 	}
@@ -133,15 +146,14 @@ func (r *Recorder) Start(jobID string) {
 	r.jobs[jobID] = &jobTrace{
 		id:        jobID,
 		start:     r.now(),
-		lastByKey: make(map[string]time.Time),
+		lastByKey: make(map[string]time.Time, keys+1),
 	}
 	r.order = append(r.order, jobID)
 }
 
-// evictLocked drops one trace and its cell-key bindings. Callers hold r.mu.
+// evictLocked drops one trace. Callers hold r.mu.
 func (r *Recorder) evictLocked(jobID string) {
-	jt, ok := r.jobs[jobID]
-	if !ok {
+	if _, ok := r.jobs[jobID]; !ok {
 		return
 	}
 	delete(r.jobs, jobID)
@@ -151,32 +163,50 @@ func (r *Recorder) evictLocked(jobID string) {
 			break
 		}
 	}
-	for k := range jt.lastByKey {
-		if r.byKey[k] == jobID {
-			delete(r.byKey, k)
-		}
-	}
 }
 
 // Record appends one event to a job's trace, stamping its sequence
 // number, time, and — when Seconds is unset — the elapsed time since the
-// cell's previous event (or the trace start). Events carrying a cell key
-// bind that key to the job, so later RecordKey calls resolve it.
+// cell's previous event (or the trace start).
 func (r *Recorder) Record(jobID string, ev Event) {
-	if r == nil {
+	one := [1]Entry{{Job: jobID, Event: ev}}
+	r.RecordBatch(one[:])
+}
+
+// RecordBatch records entries in order, as Record would one by one,
+// except that it takes the lock once and reads the clock once, so every
+// event of the batch carries the same time. It stamps each recorded
+// entry's Seq, Time and Seconds in place and leaves Seq 0 on an entry
+// whose job is unknown; the observer sees the recorded entries after the
+// lock is released.
+func (r *Recorder) RecordBatch(entries []Entry) {
+	if r == nil || len(entries) == 0 {
 		return
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	jt, ok := r.jobs[jobID]
-	if !ok {
+	now := r.now()
+	for i := range entries {
+		e := &entries[i]
+		e.Seq = 0
+		if jt, ok := r.jobs[e.Job]; ok {
+			r.appendLocked(jt, &e.Event, now)
+		}
+	}
+	onStage := r.onStage
+	r.mu.Unlock()
+	if onStage == nil {
 		return
 	}
-	now := r.now()
-	ev.Time = now
-	if ev.Key != "" {
-		r.byKey[ev.Key] = jobID
+	for i := range entries {
+		if entries[i].Seq != 0 {
+			onStage(entries[i].Stage, entries[i].Seconds)
+		}
 	}
+}
+
+// appendLocked stamps ev at now and appends it to jt. Callers hold r.mu.
+func (r *Recorder) appendLocked(jt *jobTrace, ev *Event, now time.Time) {
+	ev.Time = now
 	if ev.Seconds == 0 {
 		// Locally timed stage: delta since the cell's previous local event.
 		prev, ok := jt.lastByKey[ev.Key]
@@ -191,30 +221,10 @@ func (r *Recorder) Record(jobID string, ev Event) {
 	// from the last coordinator-side event.
 	ev.Seq = len(jt.events) + jt.dropped + 1
 	if len(jt.events) < r.maxEvents {
-		jt.events = append(jt.events, ev)
+		jt.events = append(jt.events, *ev)
 	} else {
 		jt.dropped++
 	}
-	if r.onStage != nil {
-		r.onStage(ev.Stage, ev.Seconds)
-	}
-}
-
-// RecordKey records an event against whichever job currently owns the
-// cell key — for call sites (executor attempts, store journaling) that
-// know the cell but not the job.
-func (r *Recorder) RecordKey(key string, ev Event) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	jobID, ok := r.byKey[key]
-	r.mu.Unlock()
-	if !ok {
-		return
-	}
-	ev.Key = key
-	r.Record(jobID, ev)
 }
 
 // Snapshot returns a copy of a job's events plus how many were dropped to

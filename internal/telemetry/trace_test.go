@@ -26,7 +26,7 @@ func newTestRecorder(maxJobs, maxEvents int) (*Recorder, *fakeClock) {
 
 func TestRecorderPerKeyDeltas(t *testing.T) {
 	r, _ := newTestRecorder(4, 16)
-	r.Start("s-000001")
+	r.Start("s-000001", 0)
 	r.Record("s-000001", Event{Stage: StageSubmitted, Detail: "2 cells"})
 	r.Record("s-000001", Event{Stage: StageDispatched, Key: "cell-a"})
 	r.Record("s-000001", Event{Stage: StageDispatched, Key: "cell-b"})
@@ -57,7 +57,7 @@ func TestRecorderPerKeyDeltas(t *testing.T) {
 
 func TestRecorderExplicitSecondsDoNotAdvanceTimeline(t *testing.T) {
 	r, _ := newTestRecorder(4, 16)
-	r.Start("s-000001")
+	r.Start("s-000001", 0)
 	r.Record("s-000001", Event{Stage: StageLeased, Key: "k"})
 	// Remote-measured attempt duration: carried through verbatim.
 	r.Record("s-000001", Event{Stage: StageEvaluated, Key: "k", Attempt: 1, Seconds: 0.25})
@@ -74,19 +74,45 @@ func TestRecorderExplicitSecondsDoNotAdvanceTimeline(t *testing.T) {
 	}
 }
 
-func TestRecorderRecordKey(t *testing.T) {
+// TestRecorderRecordBatch records a batch across two jobs and an unknown
+// one: every event lands on its own job in order, with one shared time
+// and the same per-cell deltas Record would give, and the observer sees
+// only the recorded events.
+func TestRecorderRecordBatch(t *testing.T) {
 	r, _ := newTestRecorder(4, 16)
-	r.Start("s-000001")
-	r.Record("s-000001", Event{Stage: StageDispatched, Key: "k1"})
-	r.RecordKey("k1", Event{Stage: StageStored})
-	r.RecordKey("unbound", Event{Stage: StageStored})
+	var stages []string
+	r.SetStageObserver(func(stage string, _ float64) { stages = append(stages, stage) })
+	r.Start("s-000001", 2)                                     // clock 1001
+	r.Start("s-000002", 1)                                     // clock 1002
+	r.Record("s-000001", Event{Stage: StageLeased, Key: "k1"}) // clock 1003
+	stages = nil
+	batch := []Entry{
+		{Job: "s-000001", Event: Event{Stage: StageEvaluated, Key: "k1", Attempt: 1, Seconds: 0.25}},
+		{Job: "s-000001", Event: Event{Stage: StageReported, Key: "k1"}},
+		{Job: "never-started", Event: Event{Seq: 99, Stage: StageStored, Key: "k9"}},
+		{Job: "s-000002", Event: Event{Stage: StageStored, Key: "k2"}},
+	}
+	r.RecordBatch(batch) // clock 1004, once
 
 	evs, _, _ := r.Snapshot("s-000001")
-	if len(evs) != 2 {
-		t.Fatalf("got %d events, want 2", len(evs))
+	if len(evs) != 3 || evs[1].Stage != StageEvaluated || evs[2].Stage != StageReported {
+		t.Fatalf("job 1 events = %+v", evs)
 	}
-	if evs[1].Stage != StageStored || evs[1].Key != "k1" {
-		t.Fatalf("RecordKey event = %+v", evs[1])
+	if evs[1].Seconds != 0.25 || evs[2].Seconds != 1 || evs[2].Seq != 3 {
+		t.Fatalf("job 1 batch events = %+v, want explicit 0.25 s then a 1 s delta at seq 3", evs[1:])
+	}
+	if !evs[1].Time.Equal(evs[2].Time) {
+		t.Fatalf("batch events read the clock twice: %v, %v", evs[1].Time, evs[2].Time)
+	}
+	evs2, _, _ := r.Snapshot("s-000002")
+	if len(evs2) != 1 || evs2[0].Key != "k2" || evs2[0].Seconds != 2 || !evs2[0].Time.Equal(evs[2].Time) {
+		t.Fatalf("job 2 events = %+v", evs2)
+	}
+	if batch[2].Seq != 0 || batch[3].Seq != 1 {
+		t.Fatalf("batch seqs = %d (unknown job), %d; want 0 and 1", batch[2].Seq, batch[3].Seq)
+	}
+	if len(stages) != 3 || stages[0] != StageEvaluated || stages[2] != StageStored {
+		t.Fatalf("observer stages = %v, want the 3 recorded events", stages)
 	}
 }
 
@@ -94,7 +120,7 @@ func TestRecorderEviction(t *testing.T) {
 	r, _ := newTestRecorder(2, 16)
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("s-%06d", i)
-		r.Start(id)
+		r.Start(id, 0)
 		r.Record(id, Event{Stage: StageDispatched, Key: fmt.Sprintf("k%d", i)})
 	}
 	if _, _, ok := r.Snapshot("s-000000"); ok {
@@ -106,20 +132,16 @@ func TestRecorderEviction(t *testing.T) {
 	if r.Jobs() != 2 {
 		t.Fatalf("Jobs = %d, want 2", r.Jobs())
 	}
-	// Evicted job's key binding is gone: RecordKey is a no-op.
-	r.RecordKey("k0", Event{Stage: StageStored})
-	if evs, _, ok := r.Snapshot("s-000001"); ok {
-		for _, ev := range evs {
-			if ev.Key == "k0" {
-				t.Fatalf("stale key binding leaked: %+v", ev)
-			}
-		}
+	// Events for the evicted job are dropped, not revived.
+	r.Record("s-000000", Event{Stage: StageStored, Key: "k0"})
+	if _, _, ok := r.Snapshot("s-000000"); ok || r.Jobs() != 2 {
+		t.Fatalf("recording into an evicted trace revived it")
 	}
 }
 
 func TestRecorderEventCap(t *testing.T) {
 	r, _ := newTestRecorder(2, 3)
-	r.Start("s-000001")
+	r.Start("s-000001", 0)
 	for i := 0; i < 5; i++ {
 		r.Record("s-000001", Event{Stage: StageDispatched, Key: fmt.Sprintf("k%d", i)})
 	}
@@ -137,7 +159,7 @@ func TestRecorderStageObserver(t *testing.T) {
 		stages = append(stages, stage)
 		secs = append(secs, s)
 	})
-	r.Start("s-000001")
+	r.Start("s-000001", 0)
 	r.Record("s-000001", Event{Stage: StageSubmitted})
 	r.Record("s-000001", Event{Stage: StageEvaluated, Key: "k", Seconds: 0.5})
 	if len(stages) != 2 || stages[0] != StageSubmitted || stages[1] != StageEvaluated {
@@ -150,9 +172,9 @@ func TestRecorderStageObserver(t *testing.T) {
 
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
-	r.Start("x")
+	r.Start("x", 0)
 	r.Record("x", Event{Stage: StageSubmitted})
-	r.RecordKey("k", Event{Stage: StageStored})
+	r.RecordBatch([]Entry{{Job: "x", Event: Event{Stage: StageStored}}})
 	r.SetClock(time.Now)
 	r.SetStageObserver(nil)
 	if _, _, ok := r.Snapshot("x"); ok {
