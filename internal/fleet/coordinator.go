@@ -22,16 +22,22 @@ import (
 var ErrUnknownWorker = errors.New("unknown worker (expired or never registered)")
 
 // Task is one cell the server wants evaluated somewhere in the fleet.
-// Done is called exactly once — with the reporting worker's name on
-// success, or "" when the outcome is a cancellation or the task joined
-// nothing — and must not block.
 type Task struct {
 	Ctx  context.Context
 	Cell fusleep.Cell
 	// Key is Cell.Key(), computed once by the caller; empty means Dispatch
 	// computes it.
-	Key  string
-	Done func(worker string, res fusleep.CellResult, err error)
+	Key string
+	// Index is the cell's position in its job. Done gets it back, so one
+	// Done can serve every cell of a job.
+	Index int
+	// Done receives the task's one outcome and must not block. A reported
+	// cell, success or failure, carries the reporting worker's name; a
+	// cancellation (the task's own context error) carries "". A successful
+	// report carries the canonical bytes the result hook left on the
+	// cell's Settled entry, or the hook's Err as err; without a hook,
+	// canon is nil.
+	Done func(index int, worker string, canon []byte, err error)
 	// TraceID names the job trace the cell belongs to; it rides the wire
 	// to workers and keys the coordinator's lifecycle events. Optional.
 	TraceID string
@@ -278,18 +284,23 @@ func NewCoordinator(cfg Config) *Coordinator {
 }
 
 // Settled is one successfully reported cell as the result hook sees it:
-// the cell key, the job trace it was leased under, and its result.
+// the cell key, the job trace it was leased under, and its result. The
+// hook fills in Canon, the result's canonical bytes, or Err, which fails
+// the cell; the coordinator hands either to the cell's waiting tasks.
 type Settled struct {
 	Key     string
 	TraceID string
 	Result  fusleep.CellResult
+	Canon   []byte
+	Err     error
 }
 
 // SetOnResult arms the hook invoked once per report that settles at least
 // one cell successfully, with those cells in report order, before any
-// result of the report fans out to its waiting tasks; the server uses it
-// to journal a reported group into the content-addressed store in one
-// append. Set it before dispatching.
+// outcome of the report fans out to its waiting tasks; the server uses it
+// to encode a reported group's results and journal them into the
+// content-addressed store in one append, so a group is journaled before
+// any of its cells is acknowledged. Set it before dispatching.
 func (c *Coordinator) SetOnResult(fn func(results []Settled)) {
 	c.mu.Lock()
 	c.onResult = fn
@@ -715,7 +726,7 @@ func (c *Coordinator) pruneQueueLocked(m *member) []*assignment {
 func deliverCanceled(gone []*assignment) {
 	for _, a := range gone {
 		for _, t := range a.tasks {
-			t.Done("", fusleep.CellResult{}, t.Ctx.Err())
+			t.Done(t.Index, "", nil, t.Ctx.Err())
 		}
 	}
 }
@@ -725,10 +736,12 @@ func deliverCanceled(gone []*assignment) {
 // requeued — are counted stale and discarded; the requeued copy (or the
 // result store) wins.
 func (c *Coordinator) Report(id string, results []CellReport) (accepted int, err error) {
+	// fan is one settled assignment: its failure, or at, the index of its
+	// Settled entry.
 	type fan struct {
 		a   *assignment
-		res fusleep.CellResult
 		err error
+		at  int
 	}
 	c.mu.Lock()
 	m, ok := c.workers[id]
@@ -738,8 +751,8 @@ func (c *Coordinator) Report(id string, results []CellReport) (accepted int, err
 	}
 	m.deadline = c.now().Add(c.cfg.WorkerTTL)
 	fans := make([]fan, 0, len(results))
+	settled := make([]Settled, 0, len(results))
 	var events []telemetry.Entry
-	var settled []Settled
 	for _, r := range results {
 		a, ok := m.leased[r.Lease]
 		if !ok {
@@ -778,13 +791,10 @@ func (c *Coordinator) Report(id string, results []CellReport) (accepted int, err
 		} else {
 			m.done++
 			c.stats.Completed++
-			var res fusleep.CellResult
+			fans = append(fans, fan{a: a, at: len(settled)})
+			settled = append(settled, Settled{Key: a.key, TraceID: a.trace})
 			if r.Result != nil {
-				res = *r.Result
-			}
-			fans = append(fans, fan{a: a, res: res})
-			if c.onResult != nil {
-				settled = append(settled, Settled{Key: a.key, TraceID: a.trace, Result: res})
+				settled[len(settled)-1].Result = *r.Result
 			}
 		}
 	}
@@ -797,19 +807,22 @@ func (c *Coordinator) Report(id string, results []CellReport) (accepted int, err
 	c.mu.Unlock()
 	// The whole report is journaled before any of its cells is
 	// acknowledged to a waiting task.
-	if len(settled) > 0 {
+	if len(settled) > 0 && onResult != nil {
 		onResult(settled)
 	}
 	for _, f := range fans {
+		var canon []byte
+		err := f.err
+		if err == nil {
+			canon, err = settled[f.at].Canon, settled[f.at].Err
+		}
 		for _, t := range f.a.tasks {
 			// A task canceled while its cell was in flight settles with its
 			// own context error, exactly like the embedded queue.
 			if cerr := t.Ctx.Err(); cerr != nil {
-				t.Done("", fusleep.CellResult{}, cerr)
-			} else if f.err != nil {
-				t.Done(name, fusleep.CellResult{}, f.err)
+				t.Done(t.Index, "", nil, cerr)
 			} else {
-				t.Done(name, f.res, nil)
+				t.Done(t.Index, name, canon, err)
 			}
 		}
 	}

@@ -2,12 +2,14 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/archsim/fusleep"
+	"github.com/archsim/fusleep/internal/store"
 )
 
 // fakeClock drives the coordinator's lease machinery deterministically.
@@ -124,11 +126,24 @@ type outcome struct {
 	err    error
 }
 
-// dispatchTask dispatches a cell and returns the channel its Done fills.
+// encodeResults is a result hook that leaves each settled cell's
+// canonical bytes on it, as the server's hook does.
+func encodeResults(results []Settled) {
+	for i := range results {
+		results[i].Canon, results[i].Err = store.EncodeCell(results[i].Result)
+	}
+}
+
+// dispatchTask dispatches a cell and returns the channel its Done fills,
+// with the canonical bytes it got (if any) decoded.
 func dispatchTask(t *testing.T, c *Coordinator, ctx context.Context, cell fusleep.Cell) <-chan outcome {
 	t.Helper()
 	ch := make(chan outcome, 1)
-	err := c.Dispatch(Task{Ctx: ctx, Cell: cell, Done: func(worker string, res fusleep.CellResult, err error) {
+	err := c.Dispatch(Task{Ctx: ctx, Cell: cell, Done: func(_ int, worker string, canon []byte, err error) {
+		var res fusleep.CellResult
+		if canon != nil && err == nil {
+			err = json.Unmarshal(canon, &res)
+		}
 		ch <- outcome{worker, res, err}
 	}})
 	if err != nil {
@@ -155,6 +170,7 @@ func TestCoordinatorRoundtrip(t *testing.T) {
 		for _, r := range results {
 			journaled = append(journaled, r.Key)
 		}
+		encodeResults(results)
 	})
 
 	id, ttl := c.Register("alpha")
@@ -214,6 +230,7 @@ func TestCoordinatorErrorReportRebuildsTypedError(t *testing.T) {
 func TestCoordinatorDuplicateDispatchJoins(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(Config{Now: clk.now})
+	c.SetOnResult(encodeResults)
 	id, _ := c.Register("w")
 	cell := testCells(t, 1)[0]
 	d1 := dispatchTask(t, c, context.Background(), cell)
@@ -252,7 +269,7 @@ func TestCoordinatorBackpressureBlocksDispatch(t *testing.T) {
 	blocked := make(chan error, 1)
 	go func() {
 		blocked <- c.Dispatch(Task{Ctx: context.Background(), Cell: cells[2],
-			Done: func(string, fusleep.CellResult, error) {}})
+			Done: func(int, string, []byte, error) {}})
 	}()
 	select {
 	case err := <-blocked:
@@ -276,7 +293,7 @@ func TestCoordinatorBackpressureBlocksDispatch(t *testing.T) {
 	canceled := make(chan error, 1)
 	go func() {
 		canceled <- c.Dispatch(Task{Ctx: ctx, Cell: cells[3],
-			Done: func(string, fusleep.CellResult, error) {}})
+			Done: func(int, string, []byte, error) {}})
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
@@ -507,14 +524,14 @@ func TestCoordinatorGroupSplitByQueueDepthSettlesOnce(t *testing.T) {
 	// The feeder blocks once two of the group's cells are queued, so the
 	// group reaches the worker across several fetches.
 	var mu sync.Mutex
-	settled := map[string]int{}
+	settled := map[int]int{}
 	fed := make(chan error, 1)
 	go func() {
-		for _, cell := range group {
-			err := c.Dispatch(Task{Ctx: context.Background(), Cell: cell,
-				Done: func(_ string, res fusleep.CellResult, err error) {
+		for i, cell := range group {
+			err := c.Dispatch(Task{Ctx: context.Background(), Cell: cell, Index: i,
+				Done: func(index int, _ string, _ []byte, err error) {
 					mu.Lock()
-					settled[res.Cell.Key()]++
+					settled[index]++
 					mu.Unlock()
 				}})
 			if err != nil {
@@ -544,8 +561,8 @@ func TestCoordinatorGroupSplitByQueueDepthSettlesOnce(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for _, cell := range group {
-		if n := settled[cell.Key()]; n != 1 {
+	for i, cell := range group {
+		if n := settled[i]; n != 1 {
 			t.Errorf("cell %s settled %d times, want 1", cell.Key(), n)
 		}
 	}

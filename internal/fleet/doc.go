@@ -28,8 +28,11 @@
 // settled: a worker evaluates it with one Engine.RunCells call
 // (Executor.EvalGroup; one simulation, every cell scored closed-form off
 // it) and reports it in one call, and the coordinator hands the report's
-// successful results to its result hook at once, which journals them in
-// one store append before any of them fans out to a waiting task. Fault
+// successful results to its result hook at once, which encodes each,
+// leaves its canonical bytes on its Settled entry, and journals the group
+// in one store append; only then does each outcome — a report, a join, a
+// cancellation — reach the one Done a task's whole job can share, as its
+// Index and those bytes, never a decoded result. Fault
 // points, retries, deadlines and panic containment stay per cell: a cell
 // that a fault point touches runs its attempt alone, and a group call
 // that fails re-runs its cells one at a time through the per-cell path.

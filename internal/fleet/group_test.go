@@ -369,7 +369,7 @@ func TestGroupTraceOneEvaluatedPerAttempt(t *testing.T) {
 	for _, cell := range cells {
 		wg.Add(1)
 		err := c.Dispatch(Task{Ctx: context.Background(), Cell: cell, TraceID: "job",
-			Done: func(_ string, _ fusleep.CellResult, err error) {
+			Done: func(_ int, _ string, _ []byte, err error) {
 				if err != nil {
 					t.Errorf("cell failed: %v", err)
 				}
@@ -450,7 +450,7 @@ func TestWarmGroupAllocs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	failed := 0
-	done := func(_ string, _ fusleep.CellResult, err error) {
+	done := func(_ int, _ string, _ []byte, err error) {
 		if err != nil {
 			failed++
 		}
@@ -528,7 +528,7 @@ func TestReportJournalsGroupBeforeAcknowledging(t *testing.T) {
 	})
 	for _, cell := range group {
 		err := c.Dispatch(Task{Ctx: context.Background(), Cell: cell, Key: cell.Key(),
-			Done: func(string, fusleep.CellResult, error) {
+			Done: func(int, string, []byte, error) {
 				if len(calls) != 1 || len(calls[0]) != len(group) {
 					t.Errorf("a task was acknowledged after %d hook calls journaling %v; want the whole group first", len(calls), calls)
 				}

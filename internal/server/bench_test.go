@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -122,6 +124,83 @@ func BenchmarkWarmSweep(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(cells), "allocs/cell")
+}
+
+// warmSweepAllocsPerCell bounds TestWarmSweepAllocs: its measured value
+// plus one.
+const warmSweepAllocsPerCell = 23.4
+
+// TestWarmSweepAllocs bounds the server side of a warm cell: it runs a
+// 320-cell grid whose machines are already simulated through a standalone
+// daemon (result store at SyncEvery 64, two in-process workers) from
+// submission to the job's terminal state, with no HTTP client, and
+// counts the allocations per cell. Every run scores fresh cells, so each
+// is evaluated, encoded, journaled and settled; none is served from the
+// store. A -race build skips it: sync.Pool drops items at random there,
+// so the count bounds nothing, and the rest of the suite races the same
+// sweep path.
+func TestWarmSweepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under -race")
+	}
+	results, err := store.OpenResults(filepath.Join(t.TempDir(), store.ResultsFile), store.JournalOptions{SyncEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer results.Close()
+	eng := fusleep.NewEngine(fusleep.WithWindow(testWindow))
+	s := New(Config{Engine: eng, Shards: 2, Results: results})
+	defer s.Close()
+	const runs = 4
+	grids := make([][]fusleep.Cell, runs+2) // a warm-up sweep, AllocsPerRun's own, then runs
+	for i := range grids {
+		req := warmSweepGrid(0.1 + 0.1*float64(i))
+		if i == 0 {
+			// The first grid only simulates every machine.
+			req.Policies = req.Policies[:1]
+		}
+		req.Ps = req.Ps[:4]
+		cells, _, err := s.sweepCells(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids[i] = cells
+	}
+	next := 0
+	sweep := func() {
+		cells := grids[next]
+		next++
+		job := newSweepJob(context.Background(), s.nextID("s"), cells)
+		job.rec = s.trace
+		s.trace.Start(job.id, len(cells))
+		s.pendingCells.Add(int64(len(cells)))
+		if err := s.submit(job.id, job, func() { s.feed(job) }); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			_, state, updated := job.watch(len(cells))
+			if state != StateRunning {
+				if info := job.info(); state != StateDone || info.Completed != len(cells) {
+					t.Fatalf("sweep %s ended %q with %d of %d cells", job.id, state, info.Completed, len(cells))
+				}
+				return
+			}
+			<-updated
+		}
+	}
+	sweep()
+	sims := eng.Stats().Simulations
+	perCell := testing.AllocsPerRun(runs, sweep) / float64(len(grids[1]))
+	if got := eng.Stats().Simulations; got != sims {
+		t.Fatalf("the measured sweeps ran %d simulations; every machine should be warm", got-sims)
+	}
+	if served := s.storeServed.Load(); served != 0 {
+		t.Fatalf("%d cells served from the store; every measured cell should be fresh", served)
+	}
+	t.Logf("%.2f allocs per cell", perCell)
+	if perCell > warmSweepAllocsPerCell {
+		t.Errorf("a warm sweep made %.2f allocs per cell, want <= %.2f", perCell, warmSweepAllocsPerCell)
+	}
 }
 
 // tail returns the last few hundred bytes of a stream, for failure messages.

@@ -8,10 +8,14 @@
 // worker's cache. Identical cells (same Cell.Key) from different jobs join
 // one in-flight assignment, and full worker queues propagate to
 // submission as 429 + Retry-After. Results stream back per cell as
-// NDJSON, each encoded once: a stream line splices the canonical bytes the
-// result store holds (or one json.Marshal when no store is wired in), and
-// each batch of lines that completed between two stream wake-ups is
-// flushed once.
+// NDJSON, each encoded once: the coordinator's result hook encodes every
+// fresh result (store.EncodeCell), whether or not a store is wired in, a
+// store hit is served as its journaled bytes, and a stream line splices
+// those canonical bytes. Each batch of lines that completed between two
+// stream wake-ups is flushed once. Every outcome of a cell — a store hit
+// at dispatch, a fresh or failed report, a join, a cancellation — reaches
+// its job once, through the one settle method the job (or tuner round)
+// shares.
 //
 // The two roles differ only in where the workers run. A standalone server
 // (Config.Fleet nil) builds a private coordinator and starts Config.Shards
@@ -34,12 +38,12 @@
 // store.Open directory), the daemon is crash-safe: accepted jobs are
 // fsynced to a write-ahead log before they are acknowledged, completed
 // cells are journaled under their content-addressed configuration hash by
-// the coordinator's result hook — one store append per worker report,
-// normally one SimKey group, landing before any of its cells reaches a
-// stream, with -sync-every counted per record as before — and Recover
-// replays any job the previous
-// process never finished — serving its already-journaled cells from disk
-// and recomputing only what the crash actually lost. Worker failures are
+// the coordinator's result hook — the bytes it encoded, in one store
+// append per worker report, normally one SimKey group, landing before any
+// of its cells reaches a stream, with -sync-every counted per record as
+// before — and Recover replays any job the previous process never
+// finished — serving its already-journaled cells from disk and
+// recomputing only what the crash actually lost. Worker failures are
 // contained per cell: panics become typed CellErrors, an optional
 // per-cell deadline bounds runaway evaluations, and transient failures
 // retry with deterministically jittered exponential backoff

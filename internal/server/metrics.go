@@ -37,7 +37,7 @@ func (s *Server) registerMetrics() {
 	s.probesDone = reg.NewCounter("fusleepd_tune_probes_total", "Tuner probes evaluated.")
 	s.rejected = reg.NewCounter("fusleepd_sweeps_rejected_total", "Sweep submissions rejected.")
 	s.tunesReject = reg.NewCounter("fusleepd_tunes_rejected_total", "Tuner submissions rejected.")
-	s.cellsDone = reg.NewCounter("fusleepd_cells_completed_total", "Sweep cells evaluated successfully.")
+	s.cellsDone = reg.NewCounter("fusleepd_cells_completed_total", "Sweep cells completed successfully: evaluated fresh or served from the result store at dispatch.")
 	s.cellsFailed = reg.NewCounter("fusleepd_cells_failed_total", "Sweep cells that failed with a real error.")
 	s.retries = reg.NewCounter("fusleepd_cell_retries_total", "Transient cell failures retried with backoff.")
 	s.sheds = reg.NewCounter("fusleepd_load_shed_total", "Submissions shed with 429 while the backlog was full.")

@@ -111,21 +111,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// task is one cell to dispatch — a sweep cell or a tuner probe — with the
-// context it runs under, its owning job's trace id, and the callbacks
-// that route its outcome back to the job. Exactly one of served (a store
-// hit, given the result's canonical bytes) and done (worker names the
-// fleet worker that computed the result, "" for error outcomes) is called,
-// once, unless dispatch reports false; neither may block.
-type task struct {
-	ctx    context.Context
-	cell   fusleep.Cell
-	key    string
-	trace  string
-	served func(canon []byte)
-	done   func(worker string, res fusleep.CellResult, err error)
-}
-
 // queueJob is the shared job resource: the retention registry's view of a
 // submitted job — sweep or tune — and the handler set's uniform surface
 // for listing, streaming, polling, and canceling either kind. The typed
@@ -287,27 +272,40 @@ func New(cfg Config) *Server {
 // Coordinator returns Config.Fleet, or a standalone server's private one.
 func (s *Server) Coordinator() *fleet.Coordinator { return s.fleet }
 
-// fleetResult journals the freshly computed cells of one worker report —
-// normally one SimKey group — in one append: the daemon's only put. The
-// coordinator runs it before any waiting task's done, so the journal
-// append lands before the stream lines, and a requeued replay of reported
-// work is served from the store at dispatch instead of recomputed.
+// fleetResult is the coordinator's result hook, run once per worker
+// report with its freshly computed cells — normally one SimKey group —
+// and the only place a fresh result is encoded. It leaves each cell's
+// canonical bytes, or its encode error, on the cell's Settled entry for
+// the coordinator to fan out, and journals the encoded cells in one
+// append: the daemon's only put. The coordinator runs it before any
+// waiting task is settled, so the journal append lands before the stream
+// lines, and a requeued replay of reported work is served from the store
+// at dispatch instead of recomputed.
 func (s *Server) fleetResult(results []fleet.Settled) {
+	puts := make([]store.Put, 0, len(results))
+	for i := range results {
+		r := &results[i]
+		if r.Canon, r.Err = store.EncodeCell(r.Result); r.Err != nil {
+			r.Canon, r.Err = nil, fmt.Errorf("encode cell %s result: %w", r.Key, r.Err)
+			continue
+		}
+		puts = append(puts, store.Put{Key: r.Key, Canon: r.Canon})
+	}
 	if s.cfg.Results == nil {
 		return
-	}
-	puts := make([]store.Put, len(results))
-	for i, r := range results {
-		puts[i] = store.Put{Key: r.Key, Result: r.Result}
 	}
 	// Put failures surface as fusleepd_store_put_errors_total, and the
 	// trace shows no stored stage; the job still completes (it just loses
 	// the replay-for-free guarantee).
 	s.cfg.Results.PutCells(puts)
-	stored := make([]telemetry.Entry, 0, len(results))
-	for i, r := range results {
-		if puts[i].Err == nil && r.TraceID != "" {
-			stored = append(stored, telemetry.Entry{Job: r.TraceID, Event: telemetry.Event{Stage: telemetry.StageStored, Key: r.Key}})
+	stored := make([]telemetry.Entry, 0, len(puts))
+	for _, r := range results {
+		// puts holds the encoded results in order; puts[0] is r's.
+		if r.Err == nil {
+			if puts[0].Err == nil && r.TraceID != "" {
+				stored = append(stored, telemetry.Entry{Job: r.TraceID, Event: telemetry.Event{Stage: telemetry.StageStored, Key: r.Key}})
+			}
+			puts = puts[1:]
 		}
 	}
 	s.trace.RecordBatch(stored)
@@ -431,62 +429,43 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // dispatch is the daemon's one path for a cell, sweep cell and tuner probe
 // alike. A cell already journaled in the result store is served from it —
-// the path's only store lookup — without reaching a worker; any other cell
-// goes to the coordinator, which routes it by SimKey to a worker, joins an
-// identical in-flight cell, and journals the result before calling done.
-// dispatch blocks under backpressure and reports false, calling neither
-// callback, when the task's context was canceled first; the caller settles
-// the cell as skipped.
-func (s *Server) dispatch(t task) bool {
-	if s.cfg.Results != nil && t.ctx.Err() == nil {
-		if canon, ok := s.cfg.Results.ServeCell(t.key); ok {
+// the path's only store lookup — by calling t.Done with the stored bytes
+// and worker "", without reaching a worker; any other cell goes to the
+// coordinator, which routes it by SimKey to a worker, joins an identical
+// in-flight cell, and journals the result before calling t.Done. dispatch
+// blocks under backpressure and reports false, without calling t.Done,
+// when the task's context was canceled first; the caller settles the cell
+// as skipped.
+func (s *Server) dispatch(t fleet.Task) bool {
+	if s.cfg.Results != nil && t.Ctx.Err() == nil {
+		if canon, ok := s.cfg.Results.ServeCell(t.Key); ok {
 			s.storeServed.Inc()
-			s.trace.Record(t.trace, telemetry.Event{Stage: telemetry.StageStoreServed, Key: t.key})
-			t.served(canon)
+			s.trace.Record(t.TraceID, telemetry.Event{Stage: telemetry.StageStoreServed, Key: t.Key})
+			t.Done(t.Index, "", canon, nil)
 			return true
 		}
 	}
 	// Record dispatch first: it starts the cell's timeline in the job's
 	// trace, so each later stage's delta measures from here.
-	s.trace.Record(t.trace, telemetry.Event{Stage: telemetry.StageDispatched, Key: t.key})
-	return s.fleet.Dispatch(fleet.Task{Ctx: t.ctx, Cell: t.cell, Key: t.key, Done: t.done, TraceID: t.trace}) == nil
+	s.trace.Record(t.TraceID, telemetry.Event{Stage: telemetry.StageDispatched, Key: t.Key})
+	return s.fleet.Dispatch(t) == nil
 }
 
 // feed dispatches a sweep job's cells, stopping early if the job is
 // aborted; undispatched cells settle as skipped so the job still
 // terminates. Cells already in the durable result store are served at
 // dispatch, which is what makes a replayed job recompute only its
-// unfinished cells.
+// unfinished cells. Every cell settles through the job's one settle.
 func (s *Server) feed(job *sweepJob) {
 	defer s.feeders.Done()
+	settle := func(index int, worker string, canon []byte, err error) {
+		s.settleCell(job, index, worker, canon, err)
+	}
 	for i, c := range job.cells {
-		idx, key := i, c.Key()
-		// Count before completing: complete() may finish the job and
-		// release its stream, and the metrics must already agree with what
-		// that stream announced.
-		complete := func(worker string, canon []byte) {
-			s.cellsDone.Inc()
-			job.complete(worker, cellLine{key: key, index: idx, result: canon})
-		}
-		t := task{ctx: job.ctx, cell: c, key: key, trace: job.id,
-			served: func(canon []byte) {
-				complete("", canon)
-				s.release(1)
-			},
-			done: func(worker string, res fusleep.CellResult, err error) {
-				defer s.release(1)
-				var canon []byte
-				if err == nil {
-					canon, err = s.resultBytes(key, res)
-				}
-				if err != nil {
-					s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageFailed, Key: key, Err: err.Error()})
-					job.fail(err, s.cellsFailed.Inc)
-					return
-				}
-				s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageCompleted, Key: key, Worker: worker})
-				complete(worker, canon)
-			}}
+		// The key is written before the cell is dispatched, so its
+		// settlement reads it back.
+		job.keys[i] = c.Key()
+		t := fleet.Task{Ctx: job.ctx, Cell: c, Key: job.keys[i], Index: i, TraceID: job.id, Done: settle}
 		if !s.dispatch(t) {
 			s.release(len(job.cells) - i)
 			job.skip(len(job.cells) - i)
@@ -495,21 +474,27 @@ func (s *Server) feed(job *sweepJob) {
 	}
 }
 
-// resultBytes returns a freshly computed cell's canonical encoding (Index
-// 0): the bytes fleetResult journaled for key before this completion, else
-// one json.Marshal (no store configured, or the put failed).
-func (s *Server) resultBytes(key string, res fusleep.CellResult) ([]byte, error) {
-	if s.cfg.Results != nil {
-		if canon, ok := s.cfg.Results.CellBytes(key); ok {
-			return canon, nil
-		}
-	}
-	res.Index = 0
-	canon, err := json.Marshal(res)
+// settleCell is a sweep job's one completion path: it settles cell index
+// with its outcome — canonical result bytes, or an error — records the
+// trace stage, counts the metrics, and releases the cell's backlog. A
+// store-served cell (worker "" and no error) records no stage here: its
+// store_served event is its last.
+func (s *Server) settleCell(job *sweepJob, index int, worker string, canon []byte, err error) {
+	defer s.release(1)
+	key := job.keys[index]
 	if err != nil {
-		return nil, fmt.Errorf("encode cell %s result: %w", key, err)
+		s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageFailed, Key: key, Err: err.Error()})
+		job.fail(err, s.cellsFailed.Inc)
+		return
 	}
-	return canon, nil
+	if worker != "" {
+		s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageCompleted, Key: key, Worker: worker})
+	}
+	// Count before completing: complete may finish the job and release its
+	// stream, and the metrics must already agree with what that stream
+	// announced.
+	s.cellsDone.Inc()
+	job.complete(worker, cellLine{key: key, index: index, result: canon})
 }
 
 // capacity is the admission-control threshold on the unsettled backlog.

@@ -26,8 +26,10 @@ const (
 // sweepJob is one submitted grid: its resolved cell list plus the mutable
 // completion state the workers fill in and the stream handlers watch.
 type sweepJob struct {
-	id      string
-	cells   []fusleep.Cell
+	id    string
+	cells []fusleep.Cell
+	// keys holds each cell's Cell.Key, written by feed as it dispatches.
+	keys    []string
 	ctx     context.Context
 	cancel  context.CancelFunc
 	created time.Time
@@ -59,6 +61,7 @@ func newSweepJob(parent context.Context, id string, cells []fusleep.Cell) *sweep
 	return &sweepJob{
 		id:      id,
 		cells:   cells,
+		keys:    make([]string, len(cells)),
 		ctx:     ctx,
 		cancel:  cancel,
 		created: time.Now(),
@@ -130,7 +133,7 @@ func (l cellLine) appendEvent(dst, idJSON []byte) []byte {
 }
 
 // complete records one finished cell; worker names the fleet worker that
-// computed it ("" for local evaluation and store serves).
+// computed it ("" for a cell served from the result store).
 func (j *sweepJob) complete(worker string, line cellLine) {
 	j.mu.Lock()
 	j.results = append(j.results, line)

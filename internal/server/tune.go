@@ -298,68 +298,64 @@ func (j *tuneJob) watch(offset int) (fresh []fusleep.TuneProbe, state string, up
 // dispatch path, the one sweep cells take, so tune and sweep workloads
 // share workers, and identical cells — across job kinds, requests, and
 // clients — are served from the result store, join in-flight work, or
-// dedupe through the simulation cache. Probe lifecycles land on the job's
-// trace, and each fleet worker that evaluated a probe is attributed to the
-// job. Results return in input order. A probe failure cancels the rest of
-// the round; a real failure is reported before any context error.
+// dedupe through the simulation cache. Every probe settles through the
+// round's one settle, which decodes its canonical bytes for the tuner,
+// records its trace stage, and attributes the fleet worker that evaluated
+// it to the job. Results return in input order. A probe failure cancels
+// the rest of the round; a real failure is reported before any context
+// error.
 func (s *Server) roundDispatcher(job *tuneJob) fusleep.TuneBatchEvaluator {
 	return func(ctx context.Context, cells []fusleep.Cell) ([]fusleep.CellResult, error) {
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		type outcome struct {
-			i   int
-			res fusleep.CellResult
-			err error
+		keys := make([]string, len(cells))
+		results := make([]fusleep.CellResult, len(cells))
+		settled := make(chan error, len(cells)) // buffered: settle never blocks
+		// settle writes results[i] before it sends, and only this goroutine
+		// reads it, after the receive.
+		settle := func(i int, worker string, canon []byte, err error) {
+			if err == nil {
+				err = json.Unmarshal(canon, &results[i])
+			}
+			switch {
+			case err != nil:
+				s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageFailed, Key: keys[i], Err: err.Error()})
+			case worker != "":
+				job.addWorker(worker)
+				s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageCompleted, Key: keys[i], Worker: worker})
+			}
+			settled <- err
+			if err != nil {
+				cancel()
+			}
 		}
-		settled := make(chan outcome, len(cells)) // buffered: the callbacks never block
 		for i, c := range cells {
-			key := c.Key()
-			done := func(worker string, res fusleep.CellResult, err error) {
-				if err != nil {
-					s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageFailed, Key: key, Err: err.Error()})
-				} else {
-					if worker != "" {
-						job.addWorker(worker)
-					}
-					s.trace.Record(job.id, telemetry.Event{Stage: telemetry.StageCompleted, Key: key, Worker: worker})
-				}
-				settled <- outcome{i, res, err}
-				if err != nil {
-					cancel()
-				}
-			}
-			served := func(canon []byte) {
-				var res fusleep.CellResult
-				err := json.Unmarshal(canon, &res)
-				done("", res, err)
-			}
+			keys[i] = c.Key()
 			// Dispatch is refused only once ctx is done, which the wait
 			// below reports.
-			if !s.dispatch(task{ctx: ctx, cell: c, key: key, trace: job.id, served: served, done: done}) {
+			if !s.dispatch(fleet.Task{Ctx: ctx, Cell: c, Key: keys[i], Index: i, TraceID: job.id, Done: settle}) {
 				break
 			}
 		}
 
-		results := make([]fusleep.CellResult, len(cells))
 		for n := 0; n < len(cells); {
 			select {
-			case o := <-settled:
+			case err := <-settled:
 				switch {
-				case o.err == nil:
-					results[o.i] = o.res
+				case err == nil:
 					n++
-				case !isContextErr(o.err):
-					return nil, o.err
+				case !isContextErr(err):
+					return nil, err
 				}
-				// A context error means the round is aborting: done cancels
-				// ctx, so the wait ends below.
+				// A context error means the round is aborting: settle
+				// cancels ctx, so the wait ends below.
 			case <-ctx.Done():
 				// A real failure settles before it cancels ctx, so it is
 				// buffered here and outranks the context error; only this
 				// goroutine receives, so the drain never blocks.
 				for len(settled) > 0 {
-					if o := <-settled; o.err != nil && !isContextErr(o.err) {
-						return nil, o.err
+					if err := <-settled; err != nil && !isContextErr(err) {
+						return nil, err
 					}
 				}
 				return nil, ctx.Err()

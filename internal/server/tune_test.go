@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -15,6 +16,8 @@ import (
 
 	"github.com/archsim/fusleep"
 	"github.com/archsim/fusleep/internal/fault"
+	"github.com/archsim/fusleep/internal/store"
+	"github.com/archsim/fusleep/internal/telemetry"
 )
 
 func postTune(t *testing.T, base, body string) *http.Response {
@@ -310,6 +313,59 @@ func TestTuneSharesCacheWithSweeps(t *testing.T) {
 	}
 	if sims := eng.Stats().Simulations; sims != simsAfterSweep {
 		t.Errorf("tuner re-simulated: %d -> %d pipeline runs", simsAfterSweep, sims)
+	}
+}
+
+// TestTuneResubmitServedFromStore runs a small tune on a store-backed
+// standalone daemon, then the same request again. Both runs match the
+// engine's own. The second run is served from the result store at
+// dispatch: fusleepd_store_served_total rises by its probe count, the
+// engine runs no simulation, and a served probe's trace ends at
+// store_served, with no dispatched or completed event.
+func TestTuneResubmitServedFromStore(t *testing.T) {
+	results, err := store.OpenResults(filepath.Join(t.TempDir(), store.ResultsFile), store.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { results.Close() })
+	eng := fusleep.NewEngine(fusleep.WithWindow(testWindow))
+	s, ts := newTestServer(t, Config{Engine: eng, Results: results})
+	body := fmt.Sprintf(`{"objective":"ed","benchmarks":["gcc"],"window":%d,
+		"policies":["AlwaysActive","SleepTimeout"],"timeoutRange":[1,64],
+		"fuCounts":[2],"maxEvals":8}`, testWindow)
+	run := func() (string, []tuneStreamEvent) {
+		sub := decodeTuneSubmit(t, postTune(t, ts.URL, body))
+		_, probes, end := readTuneStream(t, ts.URL, sub.ID)
+		if end.State != StateDone || len(probes) == 0 {
+			t.Fatalf("tune %s ended %q with %d probes", sub.ID, end.State, len(probes))
+		}
+		assertTuneMatchesEngine(t, s.cfg, body, probes, end)
+		return sub.ID, probes
+	}
+
+	run()
+	servedBefore := metricValue(t, scrapeMetrics(t, ts.URL), "fusleepd_store_served_total")
+	sims := eng.Stats().Simulations
+	id, probes := run()
+	if served := metricValue(t, scrapeMetrics(t, ts.URL), "fusleepd_store_served_total") - servedBefore; served != float64(len(probes)) {
+		t.Fatalf("resubmit served %v probes from the store, want all %d", served, len(probes))
+	}
+	if got := eng.Stats().Simulations; got != sims {
+		t.Fatalf("resubmit ran %d simulations, want 0", got-sims)
+	}
+	_, events := getTrace(t, ts.URL, id)
+	served := 0
+	for key, stages := range stagesByKey(events) {
+		if key == "" {
+			continue
+		}
+		served += stages[telemetry.StageStoreServed]
+		if stages[telemetry.StageCompleted] != 0 || stages[telemetry.StageDispatched] != 0 {
+			t.Fatalf("served probe %s has stages %v; store_served must be its last", key, stages)
+		}
+	}
+	if served != len(probes) {
+		t.Fatalf("trace shows %d store_served events for %d probes", served, len(probes))
 	}
 }
 

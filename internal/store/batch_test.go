@@ -7,21 +7,36 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/archsim/fusleep/internal/experiments"
 	"github.com/archsim/fusleep/internal/fault"
 )
 
-// batchPuts is a put sequence with what a daemon's group journaling meets:
-// 10 distinct results, then a repeat of the 10th (in the same batch as it
-// under batchSizes) and of the first (stored before the batches when
-// runPuts pre-stores it).
-func batchPuts() []Put {
-	var puts []Put
+// batchResults is a result sequence with what a daemon's group
+// journaling meets: 10 distinct results, then a repeat of the 10th (in the
+// same batch as it under batchSizes) and of the first (stored before the
+// batches when runPuts pre-stores it).
+func batchResults() []experiments.CellResult {
+	var results []experiments.CellResult
 	for i := range 10 {
 		res := testResult(1 + i%5)
 		res.Cell.Alpha = 0.1 + 0.05*float64(i)
-		puts = append(puts, Put{Key: res.Cell.Key(), Result: res})
+		results = append(results, res)
 	}
-	return append(puts, puts[9], puts[0])
+	return append(results, results[9], results[0])
+}
+
+// encodedPuts encodes results into the records PutCells journals.
+func encodedPuts(t testing.TB, results []experiments.CellResult) []Put {
+	t.Helper()
+	puts := make([]Put, len(results))
+	for i, res := range results {
+		canon, err := EncodeCell(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		puts[i] = Put{Key: res.Cell.Key(), Canon: canon}
+	}
+	return puts
 }
 
 // batchSizes splits the puts into the batches PutCells is called with:
@@ -53,15 +68,15 @@ func runPuts(t *testing.T, opt JournalOptions, pre int, batched bool) journalRun
 	opt.Observe = func(float64) { run.syncs = append(run.syncs, opt.Inject.Hits(fault.JournalFsync)) }
 	path := filepath.Join(t.TempDir(), ResultsFile)
 	s := openTestResults(t, path, opt)
-	all := batchPuts()
-	for _, p := range all[:pre] {
-		run.errs = append(run.errs, fmt.Sprint(s.PutCell(p.Key, p.Result)))
+	all := batchResults()
+	for _, res := range all[:pre] {
+		run.errs = append(run.errs, fmt.Sprint(s.PutCell(res.Cell.Key(), res)))
 	}
 	rest := all[pre:]
 	if batched {
 		for _, n := range batchSizes {
 			n = min(n, len(rest))
-			batch := append([]Put(nil), rest[:n]...)
+			batch := encodedPuts(t, rest[:n])
 			first := s.PutCells(batch)
 			var want error
 			for _, p := range batch {
@@ -79,8 +94,8 @@ func runPuts(t *testing.T, opt JournalOptions, pre int, batched bool) journalRun
 			t.Fatalf("batch sizes leave %d puts over", len(rest))
 		}
 	} else {
-		for _, p := range rest {
-			run.errs = append(run.errs, fmt.Sprint(s.PutCell(p.Key, p.Result)))
+		for _, res := range rest {
+			run.errs = append(run.errs, fmt.Sprint(s.PutCell(res.Cell.Key(), res)))
 		}
 	}
 	run.stats = s.Stats()
@@ -186,11 +201,7 @@ func TestPutCellsSkipsStoredAndRepeatedKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Stats()
-	batch := []Put{
-		{Key: stored.Cell.Key(), Result: stored},
-		{Key: fresh.Cell.Key(), Result: fresh},
-		{Key: fresh.Cell.Key(), Result: fresh},
-	}
+	batch := encodedPuts(t, []experiments.CellResult{stored, fresh, fresh})
 	if err := s.PutCells(batch); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +222,7 @@ func TestPutCellsSkipsStoredAndRepeatedKeys(t *testing.T) {
 			t.Fatalf("put %d: %v", i, p.Err)
 		}
 	}
-	canon, ok := s.CellBytes(fresh.Cell.Key())
+	canon, ok := s.ServeCell(fresh.Cell.Key())
 	if !ok || string(canon[:len(canonicalPrefix)]) != canonicalPrefix {
 		t.Fatalf("stored bytes %q do not carry Index 0", canon)
 	}
@@ -231,11 +242,11 @@ func batchJournal(f *testing.F, tornAfter int) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var batch []Put
+	var results []experiments.CellResult
 	for i := range 5 {
-		res := testResult(1 + i)
-		batch = append(batch, Put{Key: res.Cell.Key(), Result: res})
+		results = append(results, testResult(1+i))
 	}
+	batch := encodedPuts(f, results)
 	_ = s.PutCells(batch[:2])
 	_ = s.PutCells(batch[2:])
 	_ = s.Close()

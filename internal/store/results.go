@@ -15,16 +15,25 @@ import (
 // kindResult is the journal record kind of one cell result.
 const kindResult byte = 1
 
-// canonicalPrefix opens every stored result: PutCell zeroes Index, and
-// Index is CellResult's first JSON field. AppendIndexed swaps it for the
-// serving job's index without decoding the rest.
+// canonicalPrefix opens every stored result: EncodeCell zeroes Index,
+// and Index is CellResult's first JSON field. AppendIndexed swaps it for
+// the serving job's index without decoding the rest.
 const canonicalPrefix = `{"index":0,`
 
-// AppendIndexed appends the canonical stored result canon (as returned by
-// ServeCell or CellBytes) to dst with its Index set to index. The output
-// is byte-identical to json.Marshal of the decoded result with that
-// Index, because canon is itself json.Marshal output (OpenResults drops
-// any record that is not).
+// EncodeCell returns a result's canonical encoding: json.Marshal of the
+// result with Index 0. It is the one encoder of cell results; the journal
+// stores its output, ServeCell returns it, and AppendIndexed splices it
+// into stream lines.
+func EncodeCell(res experiments.CellResult) ([]byte, error) {
+	res.Index = 0
+	return json.Marshal(res)
+}
+
+// AppendIndexed appends the canonical encoding canon (from EncodeCell or
+// ServeCell) to dst with its Index set to index. The output is
+// byte-identical to json.Marshal of the decoded result with that Index,
+// because canon is itself json.Marshal output (OpenResults drops any
+// record that is not).
 func AppendIndexed(dst, canon []byte, index int) []byte {
 	dst = strconv.AppendInt(append(dst, `{"index":`...), int64(index), 10)
 	return append(append(dst, ','), canon[len(canonicalPrefix):]...)
@@ -32,7 +41,7 @@ func AppendIndexed(dst, canon []byte, index int) []byte {
 
 // canonical reports whether data is a servable result record: it must
 // decode as a CellResult, carry Index 0, and be exactly the bytes
-// json.Marshal produces for the decoded value, so that splicing it raw is
+// EncodeCell produces for the decoded value, so that splicing it raw is
 // indistinguishable from decoding and re-encoding it.
 func canonical(data []byte) bool {
 	if !bytes.HasPrefix(data, []byte(canonicalPrefix)) {
@@ -42,7 +51,7 @@ func canonical(data []byte) bool {
 	if err := json.Unmarshal(data, &res); err != nil {
 		return false
 	}
-	enc, err := json.Marshal(res)
+	enc, err := EncodeCell(res)
 	return err == nil && bytes.Equal(enc, data)
 }
 
@@ -106,17 +115,6 @@ func (s *ResultStore) ServeCell(key string) ([]byte, bool) {
 	return data, ok
 }
 
-// CellBytes returns the canonical stored bytes for key without counting
-// a hit: it is how a caller that just computed (and journaled) a cell
-// picks up the encoding PutCell wrote instead of marshalling again. The
-// bytes are shared with the index and must not be modified.
-func (s *ResultStore) CellBytes(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.index[key]
-	return data, ok
-}
-
 // GetCell returns the journaled result for a cell key, decoded. The
 // stored bytes decode into exactly the CellResult that was computed
 // (Index zeroed, as EvalCells returns it), so a served result is
@@ -143,49 +141,39 @@ func (s *ResultStore) PutCell(key string, res experiments.CellResult) error {
 	if s.Has(key) {
 		return nil
 	}
-	put := [1]Put{{Key: key, Result: res}}
+	canon, err := EncodeCell(res)
+	if err != nil {
+		return fmt.Errorf("store: encode result %s: %w", key, err)
+	}
+	put := [1]Put{{Key: key, Canon: canon}}
 	s.PutCells(put[:])
 	return put[0].Err
 }
 
-// Put is one cell result for PutCells to journal; PutCells sets Err to the
-// put's outcome.
+// Put is one encoded cell result for PutCells to journal: the cell key and
+// the result's EncodeCell bytes, which the store keeps (and serves) as
+// given. PutCells sets Err to the put's outcome.
 type Put struct {
-	Key    string
-	Result experiments.CellResult
-	Err    error
-
-	data []byte // the encoded result, Index 0
+	Key   string
+	Canon []byte
+	Err   error
 }
 
-// PutCells journals a batch of completed cells in order, with exactly the
+// PutCells journals a batch of encoded cells in order, with exactly the
 // outcome and on-disk bytes of one PutCell per element: a key already
 // stored, or repeated earlier in the batch, writes nothing and succeeds,
-// and the journal fsyncs at the same record counts. The results are
-// encoded before the store lock is taken; the records are then appended
-// under one acquisition of it. If the journal wedges part-way, the
-// records appended before the failure stay journaled, and the failing
-// put and every later put of a key not yet stored carry an error and
-// count as a put error. It returns the first error, or nil.
+// and the journal fsyncs at the same record counts. The records are
+// appended under one acquisition of the store lock. If the journal wedges
+// part-way, the records appended before the failure stay journaled, and
+// the failing put and every later put of a key not yet stored carry an
+// error and count as a put error. It returns the first error, or nil.
 func (s *ResultStore) PutCells(puts []Put) error {
-	for i := range puts {
-		p := &puts[i]
-		res := p.Result
-		res.Index = 0
-		p.data, p.Err = json.Marshal(res)
-		if p.Err != nil {
-			p.Err = fmt.Errorf("store: encode result %s: %w", p.Key, p.Err)
-		}
-	}
 	var first error
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range puts {
 		p := &puts[i]
-		if p.Err == nil {
-			p.Err = s.appendLocked(p.Key, p.data)
-		}
-		p.data = nil
+		p.Err = s.appendLocked(p.Key, p.Canon)
 		if first == nil {
 			first = p.Err
 		}
