@@ -39,24 +39,38 @@ const (
 // in the bar order of Figure 8.
 var Policies = []Policy{MaxSleep, GradualSleep, AlwaysActive, NoOverhead}
 
-// String returns the paper's name for the policy.
+// String returns the paper's name for the policy, or "Policy(N)" for a
+// value that names none.
 func (p Policy) String() string {
+	if name, ok := p.name(); ok {
+		return name
+	}
+	return fmt.Sprintf("Policy(%d)", int(p))
+}
+
+// Valid reports whether p names a defined policy.
+func (p Policy) Valid() bool {
+	_, ok := p.name()
+	return ok
+}
+
+// name returns the paper's name for a defined policy.
+func (p Policy) name() (string, bool) {
 	switch p {
 	case AlwaysActive:
-		return "AlwaysActive"
+		return "AlwaysActive", true
 	case MaxSleep:
-		return "MaxSleep"
+		return "MaxSleep", true
 	case NoOverhead:
-		return "NoOverhead"
+		return "NoOverhead", true
 	case GradualSleep:
-		return "GradualSleep"
+		return "GradualSleep", true
 	case OracleMinimal:
-		return "OracleMinimal"
+		return "OracleMinimal", true
 	case SleepTimeout:
-		return "SleepTimeout"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
+		return "SleepTimeout", true
 	}
+	return "", false
 }
 
 // ParsePolicy maps a policy's paper name (as produced by String) back to its
@@ -71,9 +85,14 @@ func ParsePolicy(name string) (Policy, error) {
 }
 
 // MarshalJSON encodes the policy by name, so wire formats stay readable and
-// stable if the enum values ever shift.
+// stable if the enum values ever shift. A value that names no policy is an
+// error, as an invalid fu.Class is: its "Policy(N)" form would not decode.
 func (p Policy) MarshalJSON() ([]byte, error) {
-	return json.Marshal(p.String())
+	name, ok := p.name()
+	if !ok {
+		return nil, fmt.Errorf("core: cannot marshal invalid policy %d", int(p))
+	}
+	return json.Marshal(name)
 }
 
 // UnmarshalJSON accepts a policy name.

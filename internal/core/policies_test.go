@@ -26,6 +26,28 @@ func TestPolicyStrings(t *testing.T) {
 	}
 }
 
+// TestPolicyMarshalRejectsInvalid: a policy that names none must not
+// marshal, because its "Policy(N)" name would not decode.
+func TestPolicyMarshalRejectsInvalid(t *testing.T) {
+	for _, p := range []Policy{Policy(99), Policy(-1), SleepTimeout + 1} {
+		if p.Valid() {
+			t.Errorf("Policy(%d) reports valid", int(p))
+		}
+		if data, err := json.Marshal(p); err == nil {
+			t.Errorf("json.Marshal(Policy(%d)) = %s, want an error", int(p), data)
+		}
+		if data, err := json.Marshal(PolicyConfig{Policy: p}); err == nil {
+			t.Errorf("json.Marshal of a config with Policy(%d) = %s, want an error", int(p), data)
+		}
+	}
+	for _, p := range []Policy{AlwaysActive, MaxSleep, NoOverhead, GradualSleep, OracleMinimal, SleepTimeout} {
+		data, err := json.Marshal(p)
+		if err != nil || string(data) != `"`+p.String()+`"` || !p.Valid() {
+			t.Errorf("json.Marshal(%s) = %s, %v", p, data, err)
+		}
+	}
+}
+
 func TestScenarioValidate(t *testing.T) {
 	good := Scenario{TotalCycles: 1000, Usage: 0.5, MeanIdle: 10, Alpha: 0.5}
 	if err := good.Validate(); err != nil {

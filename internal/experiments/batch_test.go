@@ -154,8 +154,8 @@ func TestSameMachineMatchesSimKey(t *testing.T) {
 	for name, change := range variants {
 		o := base
 		change(&o)
-		if got, want := base.sameMachine(o), base.SimKey() == o.SimKey(); got != want {
-			t.Errorf("%s: sameMachine = %v, SimKeys equal = %v", name, got, want)
+		if got, want := base.SameMachine(o), base.SimKey() == o.SimKey(); got != want {
+			t.Errorf("%s: SameMachine = %v, SimKeys equal = %v", name, got, want)
 		}
 	}
 }

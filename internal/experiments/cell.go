@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -72,7 +71,7 @@ func (c Cell) StudiedClasses() []fu.Class {
 		return []fu.Class{fu.IntALU}
 	}
 	out := append([]fu.Class(nil), c.Classes...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -228,9 +227,10 @@ func (c Cell) SimKey() string {
 	return hexKey(fnv64a(b))
 }
 
-// sameMachine reports whether c and o agree on every field SimKey hashes,
-// so that they have the same SimKey.
-func (c Cell) sameMachine(o Cell) bool {
+// SameMachine reports whether c and o agree on every field SimKey hashes,
+// so that they have the same SimKey. It lets a caller walking cells in
+// grid order hash SimKey once per run of same-machine cells.
+func (c Cell) SameMachine(o Cell) bool {
 	return c.FUs == o.FUs && c.AGUs == o.AGUs && c.Mults == o.Mults &&
 		c.FPALUs == o.FPALUs && c.FPMults == o.FPMults &&
 		c.L2Latency == o.L2Latency && c.Window == o.Window &&
@@ -472,7 +472,7 @@ func EvalCells(ctx context.Context, r *Runner, cells []Cell) ([]CellResult, erro
 	var order []string
 	k := ""
 	for i := range cells {
-		if i == 0 || !cells[i].sameMachine(cells[i-1]) {
+		if i == 0 || !cells[i].SameMachine(cells[i-1]) {
 			k = cells[i].SimKey()
 		}
 		if _, ok := groups[k]; !ok {

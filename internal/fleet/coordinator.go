@@ -28,6 +28,9 @@ type Task struct {
 	// Key is Cell.Key(), computed once by the caller; empty means Dispatch
 	// computes it.
 	Key string
+	// SimKey is Cell.SimKey(), which a caller walking a grid computes once
+	// per machine; empty means Dispatch computes it.
+	SimKey string
 	// Index is the cell's position in its job. Done gets it back, so one
 	// Done can serve every cell of a job.
 	Index int
@@ -110,12 +113,21 @@ type assignment struct {
 	simKey string // routing key: the cell's simulation identity
 	cell   fusleep.Cell
 	tasks  []Task
-	lease  uint64 // nonzero while fetched
-	trace  string // job trace id from the first task, "" when tracing is off
+	first  [1]Task // backs tasks until a join appends a second
+	lease  uint64  // nonzero while fetched
+	trace  string  // job trace id from the first task, "" when tracing is off
 
 	// held is the in-process group lease a is part of while leased to an
 	// in-process worker; nil otherwise.
 	held *localLease
+}
+
+// newAssignment opens an assignment for a task's cell, in one allocation.
+func newAssignment(key, simKey string, t Task) *assignment {
+	a := &assignment{key: key, simKey: simKey, cell: t.Cell, trace: t.TraceID}
+	a.first[0] = t
+	a.tasks = a.first[:]
+	return a
 }
 
 // localLease is one SimKey group leased to an in-process worker: the
@@ -563,7 +575,10 @@ func (c *Coordinator) Dispatch(t Task) error {
 	if key == "" {
 		key = t.Cell.Key()
 	}
-	simKey := t.Cell.SimKey()
+	simKey := t.SimKey
+	if simKey == "" {
+		simKey = t.Cell.SimKey()
+	}
 	for {
 		c.mu.Lock()
 		c.expireLocked(c.now())
@@ -578,7 +593,7 @@ func (c *Coordinator) Dispatch(t Task) error {
 		}
 		m := c.pickLocked(simKey)
 		if m == nil {
-			a := &assignment{key: key, simKey: simKey, cell: t.Cell, tasks: []Task{t}, trace: t.TraceID}
+			a := newAssignment(key, simKey, t)
 			c.byKey[key] = a
 			c.orphans = append(c.orphans, a)
 			c.stats.Dispatched++
@@ -586,7 +601,7 @@ func (c *Coordinator) Dispatch(t Task) error {
 			return nil
 		}
 		if m.queued < c.cfg.QueueDepth {
-			a := &assignment{key: key, simKey: simKey, cell: t.Cell, tasks: []Task{t}, trace: t.TraceID}
+			a := newAssignment(key, simKey, t)
 			c.byKey[key] = a
 			m.push(a)
 			c.stats.Dispatched++

@@ -419,19 +419,22 @@ func TestGroupTraceOneEvaluatedPerAttempt(t *testing.T) {
 }
 
 // warmGroupAllocsPerCell is TestWarmGroupAllocs' measured bound; see there.
-const warmGroupAllocsPerCell = 14
+const warmGroupAllocsPerCell = 11
 
 // TestWarmGroupAllocs bounds the in-process cost of one warm leased SimKey
 // group, per cell, from dispatch to settlement: Dispatch of each cell
 // with its key precomputed (as the server feeds it), one Fetch of the
 // group under a cancelable job context, the worker's group evaluation,
 // and one Report that runs the result hook and every task's done. The
-// engine already holds the group's simulation. It measured 12.25
+// engine already holds the group's simulation. It measured 9.12
 // allocations per cell with Go 1.24 for a 24-cell group mixing all six
-// policies, per-class assignments and class techs: about 5 in the
-// closed-form scoring (the result's per-class map and the studied-class lists), 3 in
-// Dispatch (the assignment, its task list and the routing SimKey), 1 for
-// the attempt span, and the rest in the group's shared slices. The same
+// policies, per-class assignments and class techs: about 4 in the
+// closed-form scoring (the per-class results and accumulators and the
+// studied-class list), 2 in Dispatch (the assignment, which holds its
+// first task, and the routing SimKey, which this test leaves to
+// Dispatch), 1 for the attempt span, and the rest in the group's shared
+// slices. Sorting class lists with slices.Sort instead of sort.Slice and
+// holding the first task inline took it from 12.04. The same
 // path evaluating and journaling one cell at a time, with a lease
 // context per cell, measured 36.2. The bound leaves one allocation per
 // cell for the map layouts of the other Go release CI tests on. A change

@@ -341,17 +341,18 @@ func (w *Worker) serve(ctx context.Context, id string, ttl time.Duration) {
 }
 
 // leaseGroups splits a fetch into its SimKey groups: the coordinator
-// leases each group's cells contiguously.
+// leases each group's cells contiguously, and one fetch holds at most one
+// group per SimKey, so a group ends where the machine changes. Comparing
+// machines (Cell.SameMachine) finds that without hashing a SimKey per
+// cell.
 func leaseGroups(cells []LeaseCell) [][]LeaseCell {
 	var groups [][]LeaseCell
-	start, simKey := 0, ""
-	for i, lc := range cells {
-		k := lc.Cell.SimKey()
-		if i > 0 && k != simKey {
+	start := 0
+	for i := 1; i < len(cells); i++ {
+		if !cells[i].Cell.SameMachine(cells[i-1].Cell) {
 			groups = append(groups, cells[start:i])
 			start = i
 		}
-		simKey = k
 	}
 	if len(cells) > 0 {
 		groups = append(groups, cells[start:])

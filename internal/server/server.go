@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -461,15 +462,31 @@ func (s *Server) feed(job *sweepJob) {
 	settle := func(index int, worker string, canon []byte, err error) {
 		s.settleCell(job, index, worker, canon, err)
 	}
-	for i, c := range job.cells {
-		// The key is written before the cell is dispatched, so its
-		// settlement reads it back.
-		job.keys[i] = c.Key()
-		t := fleet.Task{Ctx: job.ctx, Cell: c, Key: job.keys[i], Index: i, TraceID: job.id, Done: settle}
+	for t := range cellTasks(job.ctx, job.id, job.cells, job.keys, settle) {
 		if !s.dispatch(t) {
-			s.release(len(job.cells) - i)
-			job.skip(len(job.cells) - i)
+			s.release(len(job.cells) - t.Index)
+			job.skip(len(job.cells) - t.Index)
 			return
+		}
+	}
+}
+
+// cellTasks yields the fleet task of each of a job's cells in order, all
+// settling through done. Each cell's key is written to keys before its
+// task is yielded, so the cell's settlement can read it back. The SimKey
+// is hashed once per run of consecutive same-machine cells, which a grid
+// enumerates together.
+func cellTasks(ctx context.Context, id string, cells []fusleep.Cell, keys []string, done func(int, string, []byte, error)) iter.Seq[fleet.Task] {
+	return func(yield func(fleet.Task) bool) {
+		simKey := ""
+		for i, c := range cells {
+			keys[i] = c.Key()
+			if i == 0 || !c.SameMachine(cells[i-1]) {
+				simKey = c.SimKey()
+			}
+			if !yield(fleet.Task{Ctx: ctx, Cell: c, Key: keys[i], SimKey: simKey, Index: i, TraceID: id, Done: done}) {
+				return
+			}
 		}
 	}
 }

@@ -578,3 +578,43 @@ func TestCellLineMatchesEncoder(t *testing.T) {
 		}
 	}
 }
+
+// TestCellTasksSimKeys: every task a job dispatches carries its cell's Key
+// and SimKey, although cellTasks hashes SimKey only where the machine
+// changes. The cells mix grid order (runs of one machine), a machine per
+// cell (as a tuner round may), and machines that differ only in their
+// program list.
+func TestCellTasksSimKeys(t *testing.T) {
+	g := fusleep.Grid{
+		Benchmarks: []string{"gcc", "mcf"},
+		FUCounts:   []int{2, 4},
+		MultCounts: []int{1, 2},
+		Techs:      []fusleep.Tech{fusleep.DefaultTech(), fusleep.DefaultTech().WithP(0.3)},
+		Policies:   []fusleep.PolicyConfig{{Policy: fusleep.MaxSleep}, {Policy: fusleep.GradualSleep, Slices: 3}},
+		Window:     testWindow,
+	}
+	eng := fusleep.NewEngine(fusleep.WithWindow(testWindow))
+	cells := eng.Cells(g)
+	n := len(cells)
+	for i := range n {
+		cells = append(cells, cells[i*5%n])
+	}
+	g.Benchmarks = []string{"gcc"}
+	cells = append(cells, eng.Cells(g)...)
+	g.Benchmarks = []string{"mcf", "gcc"}
+	cells = append(cells, eng.Cells(g)...)
+
+	keys := make([]string, len(cells))
+	yielded := 0
+	for task := range cellTasks(context.Background(), "s1", cells, keys, nil) {
+		i, c := yielded, cells[yielded]
+		if task.Index != i || task.Key != c.Key() || keys[i] != task.Key || task.SimKey != c.SimKey() {
+			t.Fatalf("task %d: index %d, key %s (keys[%d] %s), SimKey %s; want key %s, SimKey %s",
+				i, task.Index, task.Key, i, keys[i], task.SimKey, c.Key(), c.SimKey())
+		}
+		yielded++
+	}
+	if yielded != len(cells) {
+		t.Fatalf("cellTasks yielded %d tasks for %d cells", yielded, len(cells))
+	}
+}

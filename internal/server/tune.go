@@ -11,6 +11,7 @@ import (
 	"github.com/archsim/fusleep"
 	"github.com/archsim/fusleep/internal/fleet"
 	"github.com/archsim/fusleep/internal/report"
+	"github.com/archsim/fusleep/internal/store"
 	"github.com/archsim/fusleep/internal/telemetry"
 )
 
@@ -315,7 +316,7 @@ func (s *Server) roundDispatcher(job *tuneJob) fusleep.TuneBatchEvaluator {
 		// reads it, after the receive.
 		settle := func(i int, worker string, canon []byte, err error) {
 			if err == nil {
-				err = json.Unmarshal(canon, &results[i])
+				results[i], err = store.DecodeCell(canon)
 			}
 			switch {
 			case err != nil:
@@ -329,11 +330,10 @@ func (s *Server) roundDispatcher(job *tuneJob) fusleep.TuneBatchEvaluator {
 				cancel()
 			}
 		}
-		for i, c := range cells {
-			keys[i] = c.Key()
+		for t := range cellTasks(ctx, job.id, cells, keys, settle) {
 			// Dispatch is refused only once ctx is done, which the wait
 			// below reports.
-			if !s.dispatch(fleet.Task{Ctx: ctx, Cell: c, Key: keys[i], Index: i, TraceID: job.id, Done: settle}) {
+			if !s.dispatch(t) {
 				break
 			}
 		}

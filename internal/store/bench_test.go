@@ -68,3 +68,31 @@ func BenchmarkStoreRecovery(b *testing.B) {
 		b.ReportMetric(float64(records)*float64(b.N)/sec, "records/s")
 	}
 }
+
+// BenchmarkCellCodec times the canonical codec on a policy-grid-shaped
+// result (three programs, one per-class entry): EncodeCell, as the result
+// hook runs it on every fresh cell, and DecodeCell, as a tuner probe and
+// GetCell run it.
+func BenchmarkCellCodec(b *testing.B) {
+	res := codecCases()[0].res
+	canon, err := EncodeCell(res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := EncodeCell(res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := DecodeCell(canon); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

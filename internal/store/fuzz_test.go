@@ -12,10 +12,9 @@ import (
 // frameBytes encodes one record exactly as Journal.Append writes it. Keys
 // must fit the frame format; callers keep them short.
 func frameBytes(rec Record) []byte {
-	payload, err := encodePayload(rec)
-	if err != nil {
-		panic(err)
-	}
+	payload := append([]byte{rec.Kind, 0, 0}, rec.Key...)
+	binary.LittleEndian.PutUint16(payload[1:3], uint16(len(rec.Key)))
+	payload = append(payload, rec.Data...)
 	var header [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))

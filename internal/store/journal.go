@@ -80,10 +80,11 @@ func (o JournalOptions) withDefaults() JournalOptions {
 // torn-tail recovery. It does no locking of its own: the owning store
 // serializes access under its mutex.
 type Journal struct {
-	opt  JournalOptions
-	path string
-	f    *os.File
-	w    *bufio.Writer
+	opt   JournalOptions
+	path  string
+	f     *os.File
+	w     *bufio.Writer
+	frame []byte // the frame Append is writing, reused across appends
 
 	unsynced      int
 	wedged        bool
@@ -189,20 +190,23 @@ func decodePayload(p []byte) (Record, bool) {
 	return Record{Kind: kind, Key: string(p[3 : 3+klen]), Data: p[3+klen:]}, true
 }
 
-// encodePayload builds the frame payload for a record.
-func encodePayload(rec Record) ([]byte, error) {
+// appendFrame appends one record's frame, header then payload, to dst.
+func appendFrame(dst []byte, rec Record) ([]byte, error) {
 	if len(rec.Key) > 1<<16-1 {
-		return nil, fmt.Errorf("store: key of %d bytes exceeds the 64KiB frame limit", len(rec.Key))
+		return dst, fmt.Errorf("store: key of %d bytes exceeds the 64KiB frame limit", len(rec.Key))
 	}
-	p := make([]byte, 3+len(rec.Key)+len(rec.Data))
-	p[0] = rec.Kind
-	binary.LittleEndian.PutUint16(p[1:3], uint16(len(rec.Key)))
-	copy(p[3:], rec.Key)
-	copy(p[3+len(rec.Key):], rec.Data)
-	if len(p) > maxPayload {
-		return nil, fmt.Errorf("store: record of %d bytes exceeds the %d-byte frame limit", len(p), maxPayload)
+	n := 3 + len(rec.Key) + len(rec.Data)
+	if n > maxPayload {
+		return dst, fmt.Errorf("store: record of %d bytes exceeds the %d-byte frame limit", n, maxPayload)
 	}
-	return p, nil
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderSize)...)
+	dst = append(dst, rec.Kind, byte(len(rec.Key)), byte(len(rec.Key)>>8))
+	dst = append(append(dst, rec.Key...), rec.Data...)
+	header, payload := dst[start:start+frameHeaderSize], dst[start+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
+	return dst, nil
 }
 
 // Append frames and writes one record, fsyncing per the batching policy.
@@ -215,13 +219,11 @@ func (j *Journal) Append(rec Record) error {
 		start := time.Now() //fusleepvet:nondet-ok append latency observation; never feeds results
 		defer func() { j.opt.Observe(time.Since(start).Seconds()) }()
 	}
-	payload, err := encodePayload(rec)
+	frame, err := appendFrame(j.frame[:0], rec)
 	if err != nil {
 		return err
 	}
-	var header [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
+	j.frame = frame
 
 	if j.wedged {
 		return ErrWedged
@@ -230,21 +232,16 @@ func (j *Journal) Append(rec Record) error {
 		// Crash mid-write: flush what came before, land a partial frame on
 		// disk, and wedge. The next open must truncate this tail away.
 		_ = j.w.Flush()
-		frame := append(header[:], payload...)
 		_, _ = j.f.Write(frame[:len(frame)/2])
 		_ = j.f.Sync()
 		j.wedged = true
 		return fmt.Errorf("store: torn write: %w", fault.ErrInjected)
 	}
-	if _, err := j.w.Write(header[:]); err != nil {
+	if _, err := j.w.Write(frame); err != nil {
 		j.wedged = true
 		return fmt.Errorf("store: append: %w", err)
 	}
-	if _, err := j.w.Write(payload); err != nil {
-		j.wedged = true
-		return fmt.Errorf("store: append: %w", err)
-	}
-	j.bytes += int64(frameHeaderSize + len(payload))
+	j.bytes += int64(len(frame))
 	j.records++
 	j.unsynced++
 	if j.unsynced >= j.opt.SyncEvery {

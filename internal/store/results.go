@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,42 +15,36 @@ import (
 const kindResult byte = 1
 
 // canonicalPrefix opens every stored result: EncodeCell zeroes Index,
-// and Index is CellResult's first JSON field. AppendIndexed swaps it for
-// the serving job's index without decoding the rest.
+// and Index is CellResult's first field. AppendIndexed swaps it for the
+// serving job's index without decoding the rest.
 const canonicalPrefix = `{"index":0,`
 
-// EncodeCell returns a result's canonical encoding: json.Marshal of the
-// result with Index 0. It is the one encoder of cell results; the journal
-// stores its output, ServeCell returns it, and AppendIndexed splices it
-// into stream lines.
-func EncodeCell(res experiments.CellResult) ([]byte, error) {
-	res.Index = 0
-	return json.Marshal(res)
-}
-
 // AppendIndexed appends the canonical encoding canon (from EncodeCell or
-// ServeCell) to dst with its Index set to index. The output is
-// byte-identical to json.Marshal of the decoded result with that Index,
-// because canon is itself json.Marshal output (OpenResults drops any
-// record that is not).
+// ServeCell) to dst with its Index set to index. The output is the
+// canonical encoding of the decoded result with that Index, because canon
+// is itself EncodeCell output (OpenResults drops any record that is not).
 func AppendIndexed(dst, canon []byte, index int) []byte {
 	dst = strconv.AppendInt(append(dst, `{"index":`...), int64(index), 10)
 	return append(append(dst, ','), canon[len(canonicalPrefix):]...)
 }
 
 // canonical reports whether data is a servable result record: it must
-// decode as a CellResult, carry Index 0, and be exactly the bytes
-// EncodeCell produces for the decoded value, so that splicing it raw is
-// indistinguishable from decoding and re-encoding it.
+// decode (DecodeCell) with Index 0 and be exactly the bytes EncodeCell
+// writes for the decoded value, so that splicing it raw is
+// indistinguishable from decoding and re-encoding it. Since EncodeCell
+// writes encoding/json's bytes (the codec golden pins them), these are
+// the records json.Unmarshal and json.Marshal would round-trip;
+// FuzzCellCodec holds the two definitions equal.
 func canonical(data []byte) bool {
 	if !bytes.HasPrefix(data, []byte(canonicalPrefix)) {
 		return false
 	}
-	var res experiments.CellResult
-	if err := json.Unmarshal(data, &res); err != nil {
+	res, err := DecodeCell(data)
+	if err != nil {
 		return false
 	}
-	enc, err := EncodeCell(res)
+	var stack [encodeStack]byte
+	enc, err := appendCell(stack[:0], &res)
 	return err == nil && bytes.Equal(enc, data)
 }
 
@@ -76,8 +69,9 @@ type ResultStore struct {
 
 // OpenResults opens (or creates) the result journal at path and rebuilds
 // the index from its intact records. Each result record is checked once
-// here — it must be a canonical CellResult encoding (see canonical)
-// — because hits are served as the stored bytes without a decode. A
+// here — it must be a canonical CellResult encoding, the bytes EncodeCell
+// writes, which are encoding/json's (see canonical) — because hits are
+// served as the stored bytes without a decode. A
 // record that fails is counted in Stats.Invalid and skipped, so its cell
 // is recomputed (and journaled anew) instead of served.
 func OpenResults(path string, opt JournalOptions) (*ResultStore, error) {
@@ -125,8 +119,8 @@ func (s *ResultStore) GetCell(key string) (experiments.CellResult, bool, error) 
 	if !ok {
 		return experiments.CellResult{}, false, nil
 	}
-	var res experiments.CellResult
-	if err := json.Unmarshal(data, &res); err != nil {
+	res, err := DecodeCell(data)
+	if err != nil {
 		return experiments.CellResult{}, false, fmt.Errorf("store: decode result %s: %w", key, err)
 	}
 	return res, true, nil
