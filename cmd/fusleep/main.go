@@ -35,7 +35,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments")
 	window := flag.Uint64("window", 1_000_000, "instruction window per benchmark")
 	sweep := flag.Uint64("sweep", 750_000, "instruction window per Table 3 sweep run")
-	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = suite size)")
+	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	format := flag.String("format", "text", "output format: "+strings.Join(fusleep.Formats(), " | "))
 	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = none)")
 	flag.Parse()

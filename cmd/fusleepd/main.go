@@ -124,7 +124,7 @@ func main() {
 	maxCells := flag.Int("max-cells", 4096, "largest accepted sweep, in cells")
 	window := flag.Uint64("window", 1_000_000, "default instruction window per benchmark")
 	maxWindow := flag.Uint64("max-window", 10_000_000, "largest accepted per-request window")
-	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = suite size)")
+	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	cache := flag.Bool("cache", true, "enable the cross-request simulation cache")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "max time to drain in-flight cells on shutdown")
 	storeDir := flag.String("store-dir", "", "durable store directory: result journal + job WAL (empty = in-memory only)")

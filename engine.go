@@ -122,8 +122,9 @@ func WithSweep(n uint64) Option {
 	}
 }
 
-// WithParallelism bounds concurrent pipeline simulations (default: the
-// benchmark-suite size). Values < 1 are ignored.
+// WithParallelism bounds concurrent pipeline simulations (default:
+// GOMAXPROCS, since the simulations are CPU-bound). Values < 1 are
+// ignored.
 func WithParallelism(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
@@ -195,7 +196,7 @@ func (e *Engine) Window() uint64 { return e.window }
 // SweepWindow returns the engine's per-run FU-sweep instruction count.
 func (e *Engine) SweepWindow() uint64 { return e.sweep }
 
-// Parallelism returns the configured simulation bound (0 = suite size).
+// Parallelism returns the configured simulation bound (0 = GOMAXPROCS).
 func (e *Engine) Parallelism() int { return e.parallel }
 
 // Tech returns the engine's default technology point.

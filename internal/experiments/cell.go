@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -393,20 +394,22 @@ func (c Cell) Validate() error {
 }
 
 // evalFromSuite applies the closed-form energy model for one cell over its
-// already-simulated benchmark suite: each studied class under its effective
-// policy and technology point, over the recorded idle profiles. Policy/tech
-// variants evaluated off one simulation all read its profiles in place.
-func evalFromSuite(c Cell, suite map[string]pipeline.Result) (CellResult, error) {
+// already-simulated benchmark suite, suite[i] being the run of
+// c.Benchmarks[i]: each studied class under its effective policy and
+// technology point, over the recorded idle profiles. Policy/tech variants
+// evaluated off one simulation all read its profiles in place.
+func evalFromSuite(c Cell, suite []pipeline.Result) (CellResult, error) {
 	classes := c.StudiedClasses()
 	type acc struct {
 		rel, leak float64
 		units     int
 		mixed     bool
 	}
-	per := make([]acc, len(classes))
+	// Validate admits each class at most once, so the studied classes fit.
+	var per [fu.NumClasses]acc
 	var rel, leak, cyc float64
-	for _, name := range c.Benchmarks {
-		res := suite[name]
+	for j := range c.Benchmarks {
+		res := &suite[j]
 		var total core.Breakdown
 		var base float64
 		for i, cl := range classes {
@@ -431,7 +434,8 @@ func evalFromSuite(c Cell, suite map[string]pipeline.Result) (CellResult, error)
 		cyc += float64(res.Cycles)
 	}
 	n := float64(len(c.Benchmarks))
-	out := CellResult{Cell: c, RelEnergy: rel / n, LeakageFraction: leak / n, MeanCycles: cyc / n}
+	out := CellResult{Cell: c, RelEnergy: rel / n, LeakageFraction: leak / n, MeanCycles: cyc / n,
+		PerClass: make([]ClassEnergy, 0, len(classes))}
 	for i, cl := range classes {
 		units := per[i].units
 		if per[i].mixed {
@@ -454,48 +458,89 @@ func evalFromSuite(c Cell, suite map[string]pipeline.Result) (CellResult, error)
 // studied class, each class under its effective policy and technology
 // point, over the measured per-class idle profiles. Cells that share a
 // simulation identity (SimKey — benchmark set, FU mix, L2 latency, window)
-// are grouped and each group's suite is simulated once; batching changes
-// the work schedule, never the numbers. Results return in input order with
-// Index zero (callers enumerating a grid set it); every cell is validated
-// before any simulation is paid for.
+// are grouped, and every group's suite is requested from the runner as one
+// batch before any cell is scored; batching changes the work schedule,
+// never the numbers. Results return in input order with Index zero
+// (callers enumerating a grid set it); every cell is validated before any
+// simulation is paid for. On failure it returns the error a group-by-group
+// walk would: the first group, in first-appearance order, whose runs
+// failed for a reason other than the batch canceling them.
 func EvalCells(ctx context.Context, r *Runner, cells []Cell) ([]CellResult, error) {
-	out := make([]CellResult, len(cells))
 	for i := range cells {
 		if err := cells[i].Validate(); err != nil {
 			return nil, err
 		}
 	}
-	// Group by simulation identity, preserving first-appearance order. A
-	// cell with the same machine as the one before it shares its SimKey
-	// without hashing it again: a leased group is one machine throughout.
-	groups := make(map[string][]int)
-	var order []string
-	k := ""
+	// Group by simulation identity, preserving first-appearance order, and
+	// request each group's suite when the group first appears: group[i] is
+	// cell i's group, and groups[g] holds group g's first cell and the
+	// offset of its suite in the batch. A cell with the same machine as
+	// the one before it shares its SimKey without hashing it again: a
+	// leased group is one machine throughout. The stack buffers keep a
+	// leased group's bookkeeping off the heap.
+	type span struct{ lead, start int }
+	var groupBuf [16]int
+	var spanBuf [4]span
+	var reqBuf [16]SimRequest
+	group, groups, reqs := groupBuf[:0], spanBuf[:0], reqBuf[:0]
+	index := make(map[string]int)
 	for i := range cells {
-		if i == 0 || !cells[i].SameMachine(cells[i-1]) {
-			k = cells[i].SimKey()
+		if i > 0 && cells[i].SameMachine(cells[i-1]) {
+			group = append(group, group[i-1])
+			continue
 		}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
-	}
-	for _, k := range order {
-		idxs := groups[k]
-		lead := cells[idxs[0]]
-		suite, err := r.SimSuiteMix(ctx, lead.Benchmarks, lead.mix(), lead.L2Latency, lead.Window)
-		if err != nil {
-			return nil, fmt.Errorf("cell fus=%d: %w", lead.FUs, err)
-		}
-		for _, i := range idxs {
-			res, err := evalFromSuite(cells[i], suite)
-			if err != nil {
-				return nil, err
+		k := cells[i].SimKey()
+		g, ok := index[k]
+		if !ok {
+			g = len(groups)
+			index[k] = g
+			groups = append(groups, span{lead: i, start: len(reqs)})
+			c := cells[i]
+			for _, name := range c.Benchmarks {
+				reqs = append(reqs, SimRequest{Bench: name, Mix: c.mix(), L2: c.L2Latency, Window: c.Window})
 			}
-			out[i] = res
 		}
+		group = append(group, g)
+	}
+	results := make([]pipeline.Result, len(reqs))
+	if errs, err := r.simBatch(ctx, reqs, results); err != nil {
+		for _, sp := range groups {
+			lead := cells[sp.lead]
+			if gerr := groupErr(ctx, errs[sp.start:sp.start+len(lead.Benchmarks)]); gerr != nil {
+				return nil, fmt.Errorf("cell fus=%d: %w", lead.FUs, gerr)
+			}
+		}
+		return nil, err
+	}
+	out := make([]CellResult, len(cells))
+	for i := range cells {
+		start := groups[group[i]].start
+		res, err := evalFromSuite(cells[i], results[start:start+len(cells[i].Benchmarks)])
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
 	}
 	return out, nil
+}
+
+// groupErr is the error one group's requests gave a batch, as the runner
+// reports a batch of that group alone: its first failure and every later
+// one that is not a context error, joined. A context error counts only
+// when ctx itself has ended; otherwise the batch canceled the request
+// because another group failed.
+func groupErr(ctx context.Context, errs []error) error {
+	var failed []error
+	for _, err := range errs {
+		if err == nil || isCtxErr(err) && (ctx.Err() == nil || len(failed) > 0) {
+			continue
+		}
+		failed = append(failed, err)
+	}
+	if len(failed) == 0 {
+		return nil
+	}
+	return errors.Join(failed...)
 }
 
 // RunSweepStream evaluates the grid cell by cell, invoking fn with each

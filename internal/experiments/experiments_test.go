@@ -219,16 +219,16 @@ func TestSimUsesCache(t *testing.T) {
 	}
 	r := NewRunner(Options{Window: 30_000})
 	ctx := context.Background()
-	a, err := r.Sim(ctx, "gcc", 0, 0, 0)
+	a, err := r.SimMix(ctx, "gcc", FUMix{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Sim(ctx, "gcc", 0, 0, 0)
+	b, err := r.SimMix(ctx, "gcc", FUMix{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Cycles != b.Cycles || a.Committed != b.Committed {
-		t.Errorf("cached Sim differs: %d/%d vs %d/%d", a.Cycles, a.Committed, b.Cycles, b.Committed)
+		t.Errorf("cached SimMix differs: %d/%d vs %d/%d", a.Cycles, a.Committed, b.Cycles, b.Committed)
 	}
 }
 
@@ -243,7 +243,7 @@ func TestSimDeduplicatesInFlight(t *testing.T) {
 	errs := make(chan error, callers)
 	for i := 0; i < callers; i++ {
 		go func() {
-			_, err := r.Sim(ctx, "gcc", 0, 0, 0)
+			_, err := r.SimMix(ctx, "gcc", FUMix{}, 0, 0)
 			errs <- err
 		}()
 	}

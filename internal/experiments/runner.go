@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"github.com/archsim/fusleep/internal/core"
@@ -26,7 +27,7 @@ type Options struct {
 	// Sweep is the per-run instruction count for FU-count sweeps (Table 3),
 	// which needs 4 runs per benchmark.
 	Sweep uint64
-	// Parallel bounds concurrent simulations (0 = number of benchmarks).
+	// Parallel bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallel int
 	// DisableCache turns off the cross-call result cache, so every request
 	// re-simulates. The cache is on by default; disabling it is mainly
@@ -76,19 +77,23 @@ type inflight struct {
 
 // Runner executes experiments, caching benchmark runs so the figures that
 // share the same simulations (7, 8a, 8b, 9a, 9b) pay for them once. It is
-// the engine's backing store: all simulations funnel through Sim, which
-// honors context cancellation and the configured parallelism bound, and
-// deduplicates concurrent identical requests in flight.
+// the engine's backing store and its one simulation scheduler: single runs
+// (SimMix) and batches (SimBatch) honor context cancellation and the
+// configured parallelism bound, and concurrent identical requests share
+// one in-flight run.
 type Runner struct {
 	opt Options
 	sem chan struct{} // bounds concurrent pipeline simulations
+	// run simulates one resolved request once it holds a slot: runOne,
+	// which tests replace to script failures and timing.
+	run func(ctx context.Context, spec workload.Spec, key runKey) (pipeline.Result, error)
 
 	mu            sync.Mutex
 	runs          map[runKey]pipeline.Result
 	pending       map[runKey]*inflight
 	simCount      uint64 // completed pipeline runs, for tests and Stats
-	cacheHits     uint64 // Sim requests served from the result cache
-	inflightJoins uint64 // Sim requests that joined an in-progress identical run
+	cacheHits     uint64 // simulation requests served from the result cache
+	inflightJoins uint64 // simulation requests that joined an in-progress identical run
 }
 
 // RunnerStats is a snapshot of the runner's simulation accounting: how many
@@ -110,7 +115,7 @@ type RunnerStats struct {
 	ProfileReuses uint64 `json:"profileReuses,omitempty"`
 }
 
-// HitRate returns the fraction of Sim requests that avoided a fresh
+// HitRate returns the fraction of simulation requests that avoided a fresh
 // simulation (0 when no requests have been served).
 func (s RunnerStats) HitRate() float64 {
 	total := s.Simulations + s.CacheHits + s.InflightJoins
@@ -137,24 +142,28 @@ func NewRunner(opt Options) *Runner {
 	}
 	limit := opt.Parallel
 	if limit <= 0 {
-		limit = len(workload.Benchmarks)
+		// Simulations are CPU-bound and each holds about 2 MB of machine
+		// state and trace batches while it runs: runs beyond the core
+		// count add memory, not throughput.
+		limit = runtime.GOMAXPROCS(0)
 	}
 	return &Runner{
 		opt:     opt,
 		sem:     make(chan struct{}, limit),
+		run:     runOne,
 		runs:    make(map[runKey]pipeline.Result),
 		pending: make(map[runKey]*inflight),
 	}
 }
 
 // runOne simulates a single benchmark configuration.
-func runOne(ctx context.Context, spec workload.Spec, mix FUMix, l2 int, window uint64) (pipeline.Result, error) {
+func runOne(ctx context.Context, spec workload.Spec, key runKey) (pipeline.Result, error) {
 	cfg := pipeline.DefaultConfig().
-		WithIntALUs(mix.IntALUs).
-		WithUnits(mix.Mults, mix.FPALUs, mix.FPMults, mix.AGUs).
-		WithL2Latency(l2)
-	cfg.MaxInsts = window
-	cpu, err := pipeline.New(cfg, spec.NewTrace(window))
+		WithIntALUs(key.mix.IntALUs).
+		WithUnits(key.mix.Mults, key.mix.FPALUs, key.mix.FPMults, key.mix.AGUs).
+		WithL2Latency(key.l2)
+	cfg.MaxInsts = key.window
+	cpu, err := pipeline.New(cfg, spec.NewTrace(key.window))
 	if err != nil {
 		return pipeline.Result{}, err
 	}
@@ -165,26 +174,25 @@ func runOne(ctx context.Context, spec workload.Spec, mix FUMix, l2 int, window u
 	return res, nil
 }
 
-// Sim simulates one benchmark at the given integer-ALU count (0 selects the
-// paper's Table 3 count), L2 hit latency, and instruction window (0 selects
-// the runner's Window), with the default per-class mix. Results are cached
-// across calls unless DisableCache is set; concurrent simulations are
-// bounded by Options.Parallel.
-func (r *Runner) Sim(ctx context.Context, bench string, fus, l2 int, window uint64) (pipeline.Result, error) {
-	return r.SimMix(ctx, bench, FUMix{IntALUs: fus}, l2, window)
-}
-
-// SimMix is Sim with full per-class unit provisioning: the mix's zero
-// fields resolve to the machine defaults (paper IntALU count, shared AGUs,
-// one unit per dedicated class). The resolved mix is part of the cache
-// identity, so suites that differ only in one class's count cache
-// separately.
+// SimMix simulates one benchmark at the given per-class unit mix, L2 hit
+// latency (0 selects 12 cycles) and instruction window (0 selects the
+// runner's Window). The mix's zero fields resolve to the machine defaults
+// (paper IntALU count, shared AGUs, one unit per dedicated class). The
+// resolved mix is part of the cache identity, so suites that differ only
+// in one class's count cache separately. Results are cached across calls
+// unless DisableCache is set; concurrent simulations are bounded by
+// Options.Parallel.
 func (r *Runner) SimMix(ctx context.Context, bench string, mix FUMix, l2 int, window uint64) (pipeline.Result, error) {
 	spec, key, err := r.resolveKey(bench, mix, l2, window)
 	if err != nil {
 		return pipeline.Result{}, err
 	}
-	mix, l2, window = key.mix, key.l2, key.window
+	return r.simulate(ctx, spec, key)
+}
+
+// simulate serves one resolved request: from the result cache, by joining
+// an identical in-flight run, or by running it under the semaphore.
+func (r *Runner) simulate(ctx context.Context, spec workload.Spec, key runKey) (pipeline.Result, error) {
 	for {
 		r.mu.Lock()
 		if !r.opt.DisableCache {
@@ -208,7 +216,7 @@ func (r *Runner) SimMix(ctx context.Context, bench string, mix FUMix, l2 int, wi
 				// Retry only when the leader failed because *its* context
 				// ended; a real simulation error is equally valid for every
 				// waiter and re-running would just fail again.
-				if errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded) {
+				if isCtxErr(fl.err) {
 					if err := ctx.Err(); err != nil {
 						return pipeline.Result{}, err
 					}
@@ -223,7 +231,7 @@ func (r *Runner) SimMix(ctx context.Context, bench string, mix FUMix, l2 int, wi
 		r.pending[key] = fl
 		r.mu.Unlock()
 
-		fl.res, fl.err = r.runBounded(ctx, spec, mix, l2, window)
+		fl.res, fl.err = r.runBounded(ctx, spec, key)
 		r.mu.Lock()
 		delete(r.pending, key)
 		if fl.err == nil {
@@ -238,15 +246,16 @@ func (r *Runner) SimMix(ctx context.Context, bench string, mix FUMix, l2 int, wi
 	}
 }
 
-// cached returns the cached result of one benchmark request, counting
-// the hit, or false when the request would have to simulate or join an
+// isCtxErr reports whether err comes from a context ending.
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// cached returns the cached result of one resolved request, counting the
+// hit, or false when the request would have to simulate or join an
 // in-flight run. It never blocks on a simulation.
-func (r *Runner) cached(bench string, mix FUMix, l2 int, window uint64) (pipeline.Result, bool) {
+func (r *Runner) cached(key runKey) (pipeline.Result, bool) {
 	if r.opt.DisableCache {
-		return pipeline.Result{}, false
-	}
-	_, key, err := r.resolveKey(bench, mix, l2, window)
-	if err != nil {
 		return pipeline.Result{}, false
 	}
 	r.mu.Lock()
@@ -293,8 +302,10 @@ func (r *Runner) resolveKey(bench string, mix FUMix, l2 int, window uint64) (wor
 	return spec, runKey{bench: spec.Name, mix: mix, l2: l2, window: window}, nil
 }
 
-// runBounded runs one simulation under the concurrency semaphore.
-func (r *Runner) runBounded(ctx context.Context, spec workload.Spec, mix FUMix, l2 int, window uint64) (pipeline.Result, error) {
+// runBounded runs one simulation under the concurrency semaphore. Nothing
+// of the simulation is allocated before it holds a slot, so a batch queued
+// behind the semaphore costs a parked goroutine per request, not a machine.
+func (r *Runner) runBounded(ctx context.Context, spec workload.Spec, key runKey) (pipeline.Result, error) {
 	//fusleepvet:nondet-ok semaphore-vs-cancel race: the simulation itself is seeded and cancellation only picks which error surfaces
 	select {
 	case r.sem <- struct{}{}:
@@ -302,77 +313,135 @@ func (r *Runner) runBounded(ctx context.Context, spec workload.Spec, mix FUMix, 
 	case <-ctx.Done():
 		return pipeline.Result{}, ctx.Err()
 	}
-	return runOne(ctx, spec, mix, l2, window)
+	return r.run(ctx, spec, key)
 }
 
-// SimSuite simulates a set of benchmarks in parallel (bounded by
-// Options.Parallel) and returns their results by name. fus = 0 selects the
-// paper's per-benchmark Table 3 counts. On failure it cancels the
-// outstanding runs, waits for them to drain, and returns every distinct
-// error joined together rather than abandoning in-flight work.
-func (r *Runner) SimSuite(ctx context.Context, benchmarks []string, fus, l2 int, window uint64) (map[string]pipeline.Result, error) {
-	return r.SimSuiteMix(ctx, benchmarks, FUMix{IntALUs: fus}, l2, window)
+// SimRequest is one simulation of a batch: a benchmark at a per-class unit
+// mix, L2 hit latency and instruction window, with SimMix's zero defaults.
+type SimRequest struct {
+	Bench  string
+	Mix    FUMix
+	L2     int
+	Window uint64
 }
 
-// SimSuiteMix is SimSuite with full per-class unit provisioning; cells that
-// share a class mix share their (cached) suite simulation. Cached results
-// are served inline; only the misses start a goroutine each.
-func (r *Runner) SimSuiteMix(ctx context.Context, benchmarks []string, mix FUMix, l2 int, window uint64) (map[string]pipeline.Result, error) {
-	results := make(map[string]pipeline.Result, len(benchmarks))
-	var misses []string
-	for _, name := range benchmarks {
-		if res, ok := r.cached(name, mix, l2, window); ok {
-			results[name] = res
+// SimBatch simulates a batch of requests and returns their results in
+// request order. It is the runner's one fan-out: every request is resolved
+// first, cached results are served inline, and every miss starts at once
+// and waits for one of the Options.Parallel slots. On failure it cancels
+// the outstanding runs, waits for them to drain, and returns every
+// distinct error joined together rather than abandoning in-flight work.
+func (r *Runner) SimBatch(ctx context.Context, reqs []SimRequest) ([]pipeline.Result, error) {
+	results := make([]pipeline.Result, len(reqs))
+	if _, err := r.simBatch(ctx, reqs, results); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// simBatch is SimBatch writing request i's result to results[i]. On
+// failure it also returns each request's own error (nil for a request
+// that succeeded or was served from the cache), so a caller can tell which
+// requests failed and which were canceled because another one did. Only
+// the calling goroutine touches reqs and results, so a caller may pass
+// stack buffers.
+func (r *Runner) simBatch(ctx context.Context, reqs []SimRequest, results []pipeline.Result) ([]error, error) {
+	type miss struct {
+		i    int
+		spec workload.Spec
+		key  runKey
+	}
+	var misses []miss
+	var errs []error
+	for i, q := range reqs {
+		spec, key, err := r.resolveKey(q.Bench, q.Mix, q.L2, q.Window)
+		if err != nil {
+			if errs == nil {
+				errs = make([]error, len(reqs))
+			}
+			errs[i] = err
+			continue
+		}
+		if res, ok := r.cached(key); ok {
+			results[i] = res
 		} else {
-			misses = append(misses, name)
+			misses = append(misses, miss{i, spec, key})
 		}
 	}
+	if errs != nil {
+		return errs, errors.Join(errs...)
+	}
 	if len(misses) == 0 {
-		return results, nil
+		return nil, nil
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
 	type out struct {
-		name string
-		res  pipeline.Result
-		err  error
+		i   int
+		res pipeline.Result
+		err error
 	}
 	ch := make(chan out, len(misses))
-	for _, name := range misses {
-		go func(name string) {
-			res, err := r.SimMix(runCtx, name, mix, l2, window)
-			ch <- out{name, res, err}
-		}(name)
+	for _, m := range misses {
+		go func(m miss) {
+			res, err := r.simulate(runCtx, m.spec, m.key)
+			ch <- out{m.i, res, err}
+		}(m)
 	}
-	var errs []error
+	var joined []error
 	for range misses {
 		o := <-ch
-		if o.err != nil {
-			// First failure cancels the rest; their (likely context.Canceled)
-			// errors still drain here so no goroutine leaks.
-			if len(errs) == 0 {
-				cancel()
-			}
-			ctxErr := errors.Is(o.err, context.Canceled) || errors.Is(o.err, context.DeadlineExceeded)
-			if !ctxErr || len(errs) == 0 {
-				errs = append(errs, o.err)
-			}
+		if o.err == nil {
+			results[o.i] = o.res
 			continue
 		}
-		results[o.name] = o.res
+		if errs == nil {
+			errs = make([]error, len(reqs))
+		}
+		errs[o.i] = o.err
+		// First failure cancels the rest; their (likely context.Canceled)
+		// errors still drain here so no goroutine leaks.
+		if len(joined) == 0 {
+			cancel()
+		}
+		if !isCtxErr(o.err) || len(joined) == 0 {
+			joined = append(joined, o.err)
+		}
 	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
+	if len(joined) > 0 {
+		return errs, errors.Join(joined...)
 	}
-	return results, nil
+	return nil, nil
+}
+
+// SimSuiteMix simulates a set of benchmarks at one unit mix, L2 latency
+// and window, as SimMix resolves them, and returns their results by name.
+// It is one SimBatch, with its cancellation and error joining.
+func (r *Runner) SimSuiteMix(ctx context.Context, benchmarks []string, mix FUMix, l2 int, window uint64) (map[string]pipeline.Result, error) {
+	// A suite of up to the workload's size batches from stack buffers, so
+	// a warm call allocates only the map it returns.
+	var reqBuf [9]SimRequest
+	var resBuf [9]pipeline.Result
+	reqs, res := reqBuf[:0], resBuf[:0]
+	for _, name := range benchmarks {
+		reqs = append(reqs, SimRequest{Bench: name, Mix: mix, L2: l2, Window: window})
+		res = append(res, pipeline.Result{})
+	}
+	if _, err := r.simBatch(ctx, reqs, res); err != nil {
+		return nil, err
+	}
+	suite := make(map[string]pipeline.Result, len(benchmarks))
+	for i, name := range benchmarks {
+		suite[name] = res[i]
+	}
+	return suite, nil
 }
 
 // suite returns the per-benchmark results at the paper's Table 3 FU counts
 // for the given L2 latency, served from the per-run cache after first use.
 func (r *Runner) suite(ctx context.Context, l2 int) (map[string]pipeline.Result, error) {
-	return r.SimSuite(ctx, workload.Names(), 0, l2, r.opt.Window)
+	return r.SimSuiteMix(ctx, workload.Names(), FUMix{}, l2, r.opt.Window)
 }
 
 // unitsEnergy sums a policy's energy over the given unit profiles.

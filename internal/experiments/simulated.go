@@ -48,30 +48,32 @@ func Table2(context.Context, *Runner) ([]report.Renderable, error) {
 // the IPC at the selected unit count, and the selection by the paper's
 // >= 95%-of-peak rule, alongside the paper's own numbers.
 func Table3(ctx context.Context, r *Runner) ([]report.Renderable, error) {
-	type row struct {
-		name string
-		ipc  [5]float64 // index 1..4
-	}
-	rows := make([]row, len(workload.Benchmarks))
+	// All four unit counts' runs go to the runner as one batch, so no
+	// count waits for the slowest run of the one before it.
+	var reqs []SimRequest
 	for fus := 1; fus <= 4; fus++ {
-		suite, err := r.SimSuite(ctx, workload.Names(), fus, 12, r.opt.Sweep)
-		if err != nil {
-			return nil, err
+		for _, spec := range workload.Benchmarks {
+			reqs = append(reqs, SimRequest{Bench: spec.Name, Mix: FUMix{IntALUs: fus}, L2: 12, Window: r.opt.Sweep})
 		}
-		for i, spec := range workload.Benchmarks {
-			rows[i].name = spec.Name
-			rows[i].ipc[fus] = suite[spec.Name].IPC()
-		}
+	}
+	runs, err := r.SimBatch(ctx, reqs)
+	if err != nil {
+		return nil, err
+	}
+	// ipc[i][fus] is benchmark i's IPC at fus units.
+	ipc := make([][5]float64, len(workload.Benchmarks))
+	for j := range runs {
+		ipc[j%len(ipc)][1+j/len(ipc)] = runs[j].IPC()
 	}
 
 	t := report.NewTable("Table 3: benchmarks (FU selection: min units with >= 95% of 4-unit IPC)",
 		"app", "suite", "max IPC (4 FU)", "IPC @ selected", "FUs (ours)", "FUs (paper)", "paper max IPC", "paper IPC")
 	matches := 0
 	for i, spec := range workload.Benchmarks {
-		ipc4 := rows[i].ipc[4]
+		ipc4 := ipc[i][4]
 		sel := 4
 		for n := 1; n <= 4; n++ {
-			if rows[i].ipc[n] >= 0.95*ipc4 {
+			if ipc[i][n] >= 0.95*ipc4 {
 				sel = n
 				break
 			}
@@ -80,7 +82,7 @@ func Table3(ctx context.Context, r *Runner) ([]report.Renderable, error) {
 			matches++
 		}
 		t.AddRow(spec.Name, spec.Suite,
-			report.F(ipc4, 3), report.F(rows[i].ipc[sel], 3),
+			report.F(ipc4, 3), report.F(ipc[i][sel], 3),
 			fmt.Sprintf("%d", sel), fmt.Sprintf("%d", spec.PaperFUs),
 			report.F(spec.PaperMaxIPC, 3), report.F(spec.PaperIPC, 3))
 	}
@@ -97,17 +99,14 @@ func Fig7(ctx context.Context, r *Runner) ([]report.Renderable, error) {
 		"interval bucket low (cycles)", "fraction of total time ALUs are idle",
 		"12-cycle L2", "32-cycle L2")
 
-	fractions := func(l2 int) ([]float64, float64, float64, error) {
-		suite, err := r.suite(ctx, l2)
-		if err != nil {
-			return nil, 0, 0, err
-		}
+	// suite is the run of every program at one L2 latency, in workload
+	// order.
+	fractions := func(l2 int, suite []pipeline.Result) ([]float64, float64, float64) {
 		nBuckets := stats.MustNewLog2Histogram(cap)
 		sums := make([]float64, len(nBuckets.Buckets()))
 		var units int
 		var idleFracSum, withinL2Sum float64
-		for _, name := range workload.Names() {
-			res := suite[name]
+		for _, res := range suite {
 			for _, fu := range res.FUs {
 				h := stats.MustNewLog2Histogram(cap)
 				h.AddIntervals(fu.Intervals)
@@ -123,17 +122,23 @@ func Fig7(ctx context.Context, r *Runner) ([]report.Renderable, error) {
 		for b := range sums {
 			sums[b] /= float64(units)
 		}
-		return sums, idleFracSum / float64(units), withinL2Sum / float64(units), nil
+		return sums, idleFracSum / float64(units), withinL2Sum / float64(units)
 	}
 
-	f12, idle12, within12, err := fractions(12)
+	// Both latencies' suites go to the runner as one batch.
+	var reqs []SimRequest
+	for _, l2 := range []int{12, 32} {
+		for _, name := range workload.Names() {
+			reqs = append(reqs, SimRequest{Bench: name, L2: l2, Window: r.opt.Window})
+		}
+	}
+	runs, err := r.SimBatch(ctx, reqs)
 	if err != nil {
 		return nil, err
 	}
-	f32, idle32, _, err := fractions(32)
-	if err != nil {
-		return nil, err
-	}
+	n := len(workload.Benchmarks)
+	f12, idle12, within12 := fractions(12, runs[:n])
+	f32, idle32, _ := fractions(32, runs[n:])
 	for b := range f12 {
 		s.AddPoint(float64(int(1)<<b), f12[b], f32[b])
 	}
@@ -274,11 +279,17 @@ func McfFUStudy(ctx context.Context, r *Runner) ([]report.Renderable, error) {
 	tech := core.DefaultTech() // p = 0.05
 	t := report.NewTable("mcf leakage fraction vs functional-unit count (p=0.05, AlwaysActive)",
 		"FUs", "IPC", "mean FU utilization", "leakage/total")
-	for _, fus := range []int{2, 4} {
-		res, err := r.Sim(ctx, spec.Name, fus, 12, r.opt.Window)
-		if err != nil {
-			return nil, err
-		}
+	fuCounts := []int{2, 4}
+	reqs := make([]SimRequest, len(fuCounts))
+	for i, fus := range fuCounts {
+		reqs[i] = SimRequest{Bench: spec.Name, Mix: FUMix{IntALUs: fus}, L2: 12, Window: r.opt.Window}
+	}
+	runs, err := r.SimBatch(ctx, reqs)
+	if err != nil {
+		return nil, err
+	}
+	for i, fus := range fuCounts {
+		res := runs[i]
 		frac := unitEnergy(tech, core.PolicyConfig{Policy: core.AlwaysActive}, 0.5, res).LeakageFraction()
 		t.AddRow(fmt.Sprintf("%d", fus), report.F(res.IPC(), 3),
 			fmt.Sprintf("%.1f%%", res.MeanFUUtilization()*100),

@@ -63,7 +63,15 @@ type Worker struct {
 	// the same key to two workers at once (duplicate submits join the
 	// in-flight assignment), so a key's spans belong to exactly one lease.
 	spanMu sync.Mutex
-	spans  map[string][]WireSpan
+	spans  map[string]keySpans
+}
+
+// keySpans are one cell key's collected spans. A leased cell almost always
+// finishes in one attempt, so the first span is held inline and only
+// retries allocate.
+type keySpans struct {
+	first WireSpan
+	rest  []WireSpan
 }
 
 // transport carries a worker's wire calls: loopback (direct calls into
@@ -166,16 +174,31 @@ func (w *Worker) stats() *WorkerStats {
 	}
 }
 
-// takeSpans drains the collected spans for a group's cell keys.
-func (w *Worker) takeSpans(keys []string) [][]WireSpan {
-	out := make([][]WireSpan, len(keys))
+// takeSpans drains the collected spans of a group's cells into their
+// reports' traces, which share one backing array.
+func (w *Worker) takeSpans(reports []CellReport) {
 	w.spanMu.Lock()
 	defer w.spanMu.Unlock()
-	for i, k := range keys {
-		out[i] = w.spans[k]
-		delete(w.spans, k)
+	n := 0
+	for i := range reports {
+		if ks, ok := w.spans[reports[i].Key]; ok {
+			n += 1 + len(ks.rest)
+		}
 	}
-	return out
+	if n == 0 {
+		return
+	}
+	all := make([]WireSpan, 0, n)
+	for i := range reports {
+		ks, ok := w.spans[reports[i].Key]
+		if !ok {
+			continue
+		}
+		delete(w.spans, reports[i].Key)
+		from := len(all)
+		all = append(append(all, ks.first), ks.rest...)
+		reports[i].Trace = all[from:len(all):len(all)]
+	}
 }
 
 // Run registers with the coordinator and serves fetched cells until ctx
@@ -214,9 +237,14 @@ func (w *Worker) start() {
 		}
 		w.spanMu.Lock()
 		if w.spans == nil {
-			w.spans = make(map[string][]WireSpan)
+			w.spans = make(map[string]keySpans)
 		}
-		w.spans[key] = append(w.spans[key], sp)
+		if ks, ok := w.spans[key]; ok {
+			ks.rest = append(ks.rest, sp)
+			w.spans[key] = ks
+		} else {
+			w.spans[key] = keySpans{first: sp}
+		}
 		w.spanMu.Unlock()
 	}
 }
@@ -404,9 +432,8 @@ func (w *Worker) evaluate(ctx context.Context, group []LeaseCell) []CellReport {
 	results, errs := w.Exec.EvalGroup(ctx, cells, keys)
 	w.inflight.Add(-int64(len(group)))
 	reports := make([]CellReport, len(group))
-	spans := w.takeSpans(keys)
 	for i, lc := range group {
-		r := CellReport{Lease: lc.Lease, Key: lc.Key, Trace: spans[i]}
+		r := CellReport{Lease: lc.Lease, Key: lc.Key}
 		if errs[i] != nil {
 			r.Error = ToWireError(errs[i])
 		} else {
@@ -414,6 +441,7 @@ func (w *Worker) evaluate(ctx context.Context, group []LeaseCell) []CellReport {
 		}
 		reports[i] = r
 	}
+	w.takeSpans(reports)
 	return reports
 }
 

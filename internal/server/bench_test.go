@@ -128,7 +128,7 @@ func BenchmarkWarmSweep(b *testing.B) {
 
 // warmSweepAllocsPerCell bounds TestWarmSweepAllocs: its measured value
 // plus one.
-const warmSweepAllocsPerCell = 11.4
+const warmSweepAllocsPerCell = 8.9
 
 // TestWarmSweepAllocs bounds the server side of a warm cell: it runs a
 // 320-cell grid whose machines are already simulated through a standalone
